@@ -1,6 +1,5 @@
-"""The benchmark's metric catalogue and the result every workload
-returns.  ``BENCHMARK.json`` lists the same names; a unit test keeps
-the two in step."""
+"""The result every workload returns.  The gated metrics, by name and
+unit, are listed in ``BENCHMARK.json``; ``run.py`` reads them there."""
 
 from __future__ import annotations
 
@@ -9,73 +8,12 @@ from typing import Dict, List, Tuple
 
 from .stats import Tally, summarize
 
-#: (name, unit) of every end-to-end metric.  Every workload reports
-#: every one of them; what each means per workload is in README.md.
-END_TO_END: List[Tuple[str, str]] = [
-    ("setup_s", "s"),
-    ("gbps", "Gbit/s"),
-    ("rps", "1/s"),
-    ("p50_ms", "ms"),
-    ("reload_p50_ms", "ms"),
-]
-
 #: (name, unit) of end-to-end numbers printed and recorded but not in
 #: the result line: tail latencies, whose run-to-run spread on
 #: ``flow_policy`` is wider than any bound the benchmark could gate on.
 REPORTED: List[Tuple[str, str]] = [
     ("p95_ms", "ms"),
     ("p99_ms", "ms"),
-]
-
-#: (name, unit) of every per-layer metric, reported by traced runs.  A
-#: layer that does no work in a workload reports 0.
-PER_LAYER: List[Tuple[str, str]] = [
-    ("compiled.compile_s", "s"),
-    ("compiled.table_build_s", "s"),
-    ("compiled.automaton_builds", "count"),
-    ("planner.plan_us", "us"),
-    ("planner.backend.serial", "count"),
-    ("planner.backend.chunked", "count"),
-    ("planner.backend.hotcold", "count"),
-    ("planner.backend.hotcold2", "count"),
-    ("planner.backend.fused", "count"),
-    ("prefilter.screen_ms", "ms"),
-    ("prefilter.verify_ms", "ms"),
-    ("prefilter.segments", "count"),
-    ("prefilter.candidate_fraction", "ratio"),
-    ("kernel.block_ms", "ms"),
-    ("kernel.hot_hit_rate", "ratio"),
-    ("kernel.cold_steps", "count"),
-    ("execute.packet_us", "us"),
-    ("protocol.encode_us", "us"),
-    ("protocol.decode_us", "us"),
-    ("daemon.ping_rtt_us", "us"),
-    ("daemon.backend_p50_ms", "ms"),
-    ("daemon.unattributed_ms", "ms"),
-    ("daemon.queue_high_water", "count"),
-    ("daemon.rejected", "count"),
-    ("daemon.timeouts", "count"),
-    ("pool.worker_p50_ms", "ms"),
-    ("pool.hop_ms", "ms"),
-    ("pool.restarts", "count"),
-    ("pool.automaton_builds", "count"),
-    ("registry.swap_p50_ms", "ms"),
-    ("registry.warm_frac", "ratio"),
-    ("sessions.packet_us", "us"),
-    ("sessions.evictions", "count"),
-    ("policy.packet_us", "us"),
-    ("policy.verdict_us", "us"),
-    ("policy.verdict_p50_ms", "ms"),
-    ("policy.swap_p50_ms", "ms"),
-    ("policy.actions.forward", "count"),
-    ("policy.actions.alert", "count"),
-    ("policy.actions.drop", "count"),
-    ("policy.actions.rate-limit", "count"),
-    ("policy.actions.mirror", "count"),
-    ("loadgen.late_ms_p95", "ms"),
-    ("trace.overhead_frac", "ratio"),
-    ("trace.unattributed_frac", "ratio"),
-    ("trace.spans", "count"),
 ]
 
 

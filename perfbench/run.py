@@ -21,6 +21,9 @@ Exit codes: 0 all outputs correct; 1 a wrong output or a failed
 operation (the result line says which); 2 the repository sources are
 missing or the arguments are bad; 3 the run is void (set-up failed, the
 daemon misbehaved, or the open-loop generator fell behind schedule).
+
+While a workload runs, one ``SCHED_IDLE`` spinner per CPU keeps the
+CPUs from halting (see ``idle.py``).
 """
 
 from __future__ import annotations
@@ -52,6 +55,13 @@ def _parse(argv):
     return args
 
 
+def _catalogue(section: str):
+    """(name, unit) of every metric ``BENCHMARK.json`` lists under
+    ``section``."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return [(m["name"], m["unit"]) for m in spec[section]]
+
+
 def _fmt(value) -> str:
     return f"{value:.6g}" if isinstance(value, float) else str(value)
 
@@ -65,7 +75,8 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     import numpy
 
-    from perfbench.metrics import END_TO_END, PER_LAYER, REPORTED
+    from perfbench.idle import cpus, idle_spinners
+    from perfbench.metrics import REPORTED
     from perfbench.stats import tail_supported
 
     wl = importlib.import_module(f"perfbench.wl_{args.workload}")
@@ -74,7 +85,9 @@ def main(argv=None) -> int:
     workdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     try:
-        res = wl.run(args.seed, args.seconds, bool(args.trace), workdir)
+        with idle_spinners(cpus()):
+            res = wl.run(args.seed, args.seconds, bool(args.trace),
+                         workdir)
     except Exception as exc:  # any set-up or daemon failure voids the run
         print(f"error: {args.workload} run void: "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)
@@ -87,7 +100,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 3
 
-    catalogue = PER_LAYER if args.trace else END_TO_END
+    catalogue = _catalogue("per_layer" if args.trace else "end_to_end")
     source = res.per_layer if args.trace else res.end_to_end
     metrics = {name: {"value": source.get(name, 0), "unit": unit}
                for name, unit in catalogue}
@@ -97,7 +110,8 @@ def main(argv=None) -> int:
     meta = {
         "workload": args.workload, "seed": args.seed,
         "seconds": args.seconds, "trace": args.trace,
-        "nproc": os.cpu_count(), "python": platform.python_version(),
+        "nproc": os.cpu_count(), "idle_spinners": cpus(),
+        "python": platform.python_version(),
         "numpy": numpy.__version__, "platform": platform.platform(),
         "params": res.params,
         "elapsed_s": elapsed,

@@ -19,7 +19,6 @@ order, so replies pair with requests first-in first-out.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import os
 import re
 import signal
@@ -226,29 +225,6 @@ class Conn:
             await self.writer.wait_closed()
         except ConnectionError:
             pass
-
-
-@contextlib.asynccontextmanager
-async def busy_poll():
-    """Keep the load thread polling instead of sleeping in the kernel.
-
-    A task that only yields makes the event loop poll its sockets with
-    a zero timeout, so the load process never idles its CPU.  On a
-    virtualized host an idle CPU pays a wake-up delay of its own on every
-    reply, and that delay would be charged to the daemon's latency.
-    """
-    stop = asyncio.Event()
-
-    async def spin() -> None:
-        while not stop.is_set():
-            await asyncio.sleep(0)
-
-    task = asyncio.ensure_future(spin())
-    try:
-        yield
-    finally:
-        stop.set()
-        await task
 
 
 async def ping_rtts(conn: Conn, count: int) -> List[float]:

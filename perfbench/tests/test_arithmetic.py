@@ -5,19 +5,14 @@ latency and failure accounting.
 """
 
 import asyncio
-import json
 import time
-from pathlib import Path
 
 import pytest
 
-from perfbench.metrics import END_TO_END, PER_LAYER
 from perfbench.stats import (Tally, load_metrics, per_window, quantile,
                              summarize, tail_supported, windowed,
                              windowed_rate)
 from perfbench.trace import Span, Tracer, covered, self_times
-
-ROOT = Path(__file__).resolve().parents[2]
 
 
 # -- nearest-rank quantiles ----------------------------------------------------
@@ -202,22 +197,3 @@ def test_tally_counts_every_reason():
     assert t.failures == {"busy": 1, "wrong-count": 1}
     assert t.error_frac == pytest.approx(2 / 3)
     assert Tally().error_frac == 0.0
-
-
-# -- the catalogue matches BENCHMARK.json --------------------------------------------
-
-
-def test_benchmark_json_matches_catalogue():
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    assert [(m["name"], m["unit"]) for m in spec["end_to_end"]] \
-        == END_TO_END
-    assert [(m["name"], m["unit"]) for m in spec["per_layer"]] \
-        == PER_LAYER
-    assert [w["name"] for w in spec["workloads"]] \
-        == ["block", "packet_scan", "flow_policy"]
-    assert all(0 < m["bound"] <= 0.25 for m in spec["end_to_end"])
-    names = [m["name"] for m in spec["end_to_end"] + spec["per_layer"]]
-    assert len(names) == len(set(names))
-    assert sorted(spec) == sorted(["command", "paths", "run_seconds",
-                                   "workloads", "end_to_end",
-                                   "per_layer"])

@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.backends import ScanContext, ScanRequest, execute
+from repro.core.backends import (_VERIFY_KERNELS, ScanContext,
+                                 ScanRequest, _plan, execute)
 from repro.core.compiled import COUNTERS, ArtifactCache, \
     compile_dictionary
-from repro.core.planner import plan_backend
 from repro.core.scan.prefilter import count_segments
 from repro.dfa.alphabet import identity_fold
 from repro.workloads import plant_matches, random_payload, \
@@ -38,15 +38,12 @@ NUM_SIGNATURES = 25
 #: exercises the same plan.
 DICTIONARY_SEED = 90
 #: Cold set-ups per run; ``setup_s`` is their median.
-SETUPS = 3
+SETUPS = 5
 #: Dictionary swaps after the timed phase; ``reload_p50_ms`` is their
 #: median.
 SWAPS = 20
 #: Leading slice of the block re-scanned after each swap as its check.
 PROBE_BYTES = 2_000_000
-#: Kernel that verifies candidate windows for each planned backend
-#: (the flat-table backends verify with the ``flat`` kernel).
-_VERIFY_KERNEL = {"chunked": "flat", "cellsim": "flat"}
 
 
 def _inputs(seed: int):
@@ -64,16 +61,6 @@ def _inputs(seed: int):
         if d in block:
             raise SetupError(f"decoy entry {d!r} occurs in the block")
     return patterns, block, decoys
-
-
-def _plan(ctx: ScanContext, nbytes: int):
-    """The plan ``execute()`` makes for an auto block request."""
-    c = ctx.compiled
-    return plan_backend(nbytes=nbytes, num_slices=c.num_slices,
-                        exact=c.supports_hot_cold,
-                        fused_bytes=c.fused_table_bytes,
-                        pair_fit=c.pair_table_fits(),
-                        screenable=c.prefilter() is not None)
 
 
 def run(seed: int, seconds: float, trace: bool, workdir: Path
@@ -195,6 +182,7 @@ def _traced(res: RunResult, ctx: ScanContext, patterns, fold,
                     f"kernel {bare.total_matches} != {expected}")
 
     pf = ctx.compiled.prefilter()
+    request = ScanRequest(data=block)
     deadline = time.perf_counter() + seconds
     rid = 0
     while time.perf_counter() < deadline:
@@ -205,13 +193,15 @@ def _traced(res: RunResult, ctx: ScanContext, patterns, fold,
                     f"{out.total_matches} != {expected}")
         with tracer.span("block.scan", request=rid) as root:
             with tracer.span("core.planner.plan_backend", root, rid):
-                plan = _plan(ctx, len(block))
+                # The plan and verify kernel execute() picks for this
+                # request, so the decomposition follows it.
+                plan = _plan(ctx, request, None)
             with tracer.span("core.scan.prefilter.screen", root, rid):
                 screened = pf.screen(arr)
             with tracer.span("core.scan.prefilter.count_segments",
                              root, rid):
-                kern = ctx.kernel(_VERIFY_KERNEL.get(plan.backend,
-                                                     plan.backend))
+                kern = ctx.kernel(_VERIFY_KERNELS.get(
+                    plan.backend, ctx.batch_kernel_name()))
                 total = kern.count_total(arr) if screened.fall_through \
                     else count_segments(kern, arr, screened.segments)
         tally.check(total == expected, "wrong-count",

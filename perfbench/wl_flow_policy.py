@@ -12,7 +12,12 @@ order.  On connection 0 a tenant-dictionary RELOAD and a POLICY swap
 alternate every :data:`ADMIN_PERIOD_S` seconds.  Latency is timed from
 each request's scheduled send time; how late the sender ran is
 reported as ``loadgen.late_ms_p95``, and a run whose sender fell more
-than :data:`LATE_LIMIT_MS` behind is void.
+than :data:`LATE_LIMIT_MS` behind is void.  The open loop sets
+``p50_ms`` and ``reload_p50_ms``.  Its throughput is the offered rate,
+so ``rps`` and ``gbps`` come from a closed-loop phase at the end
+instead: each connection keeps :data:`CAPACITY_DEPTH` FLOWs in flight,
+and the two connections together measure how many FLOWs per second the
+daemon completes.
 
 Correctness: every FLOW verdict must equal the planted-attack ground
 truth.  Rules are first-match with threshold 1, so a flow forwards
@@ -42,7 +47,7 @@ from repro.workloads.dictionary import ascii_keywords
 from repro.workloads.traffic import tenant_traffic
 
 from .metrics import RunResult, SetupError
-from .service import Conn, busy_poll, ping_rtts, start_daemons
+from .service import Conn, ping_rtts, start_daemons
 from .stats import load_metrics, quantile
 from .trace import Tracer
 
@@ -62,12 +67,16 @@ POOL_WORKERS = 2
 RATE = 120.0
 #: A RELOAD or a POLICY swap every this many seconds, alternating.
 ADMIN_PERIOD_S = 1.0
-#: Share of the timed phase that runs swaps beside the FLOW load; the
-#: rest is FLOW load alone.
-SWAP_SHARE = 1 / 2
+#: Share of the timed phase that measures closed-loop FLOW capacity,
+#: and the window its medians are taken over.
+CAPACITY_SHARE = 1 / 5
+CAPACITY_WINDOW_S = 2.0
+#: FLOWs each connection keeps in flight in the capacity phase: enough
+#: that both pool workers always have work queued.
+CAPACITY_DEPTH = 4
 #: A sender more than this late at p95 voids the run.
 LATE_LIMIT_MS = 10.0
-SETUPS = 3
+SETUPS = 5
 WARMUP_PACKETS = 100
 #: Packets replayed in-process for the per-layer split.
 REPLAY_PACKETS = 400
@@ -282,10 +291,94 @@ async def _open_loop(conns: List[Conn], plan: List[List[Item]],
         pending = collections.deque()
         tasks.append(sender(conn, items, pending))
         tasks.append(receiver(conn, len(items), pending))
-    async with busy_poll():
-        await asyncio.wait_for(asyncio.gather(*tasks), timeout)
+    await asyncio.wait_for(asyncio.gather(*tasks), timeout)
     ph.end = ph.start + 1.0 / RATE + max(
         it.t for items in plan for it in items if it.kind == "flow")
+    return ph
+
+
+@dataclass
+class ClosedPhase:
+    """Per-request samples of the closed-loop capacity phase."""
+
+    start: float
+    end: float
+    lat: List[float] = field(default_factory=list)
+    done: List[float] = field(default_factory=list)
+    sizes: List[int] = field(default_factory=list)
+
+    def metrics(self) -> Dict[str, float]:
+        return load_metrics(self.done, self.lat, self.sizes, self.start,
+                            self.end, CAPACITY_WINDOW_S)
+
+
+async def _closed_loop(conns: List[Conn], packets, actions,
+                       seconds: float, tally, tracer: Tracer
+                       ) -> ClosedPhase:
+    """Each connection keeps :data:`CAPACITY_DEPTH` FLOWs in flight
+    until the deadline, cycling through its own flows of ``packets``.
+    Every pass renames the flows, so it starts fresh sessions and the
+    expected verdicts repeat.  A connection's replies come back in
+    order, so each pairs with the oldest request in flight."""
+    start = time.perf_counter()
+    ph = ClosedPhase(start=start, end=start + seconds)
+
+    async def one(ci: int, conn: Conn) -> None:
+        order = [k for k, p in enumerate(packets)
+                 if _connection_of(p.flow) == ci]
+        window = asyncio.Semaphore(CAPACITY_DEPTH)
+        pending: asyncio.Queue = asyncio.Queue()
+
+        async def sender() -> None:
+            n = 0
+            while True:
+                await window.acquire()
+                if time.perf_counter() >= ph.end:
+                    break
+                rnd, k = divmod(n, len(order))
+                k = order[k]
+                n += 1
+                p = packets[k]
+                root = tracer.reserve()
+                t0 = time.perf_counter()
+                rid = conn.send({"verb": "FLOW",
+                                 "flow": f"cap{rnd}-{p.flow}",
+                                 "tenant": TENANT}, p.payload, parent=root)
+                pending.put_nowait((k, rnd, t0, root, rid))
+                await conn.writer.drain()
+            pending.put_nowait(None)
+
+        async def receiver() -> None:
+            while True:
+                sent = await pending.get()
+                if sent is None:
+                    return
+                k, rnd, t0, root, rid = sent
+                reply, t1 = await conn.recv(parent=root, request=rid)
+                window.release()
+                tracer.record("client.flow_closed", t0, t1, request=rid,
+                              span_id=root)
+                if reply.get("id") != rid:
+                    tally.fail("transport", f"reply id {reply.get('id')} "
+                                            f"for request {rid}")
+                    continue
+                if not reply.get("ok"):
+                    tally.fail(str(reply.get("code")),
+                               str(reply.get("error")))
+                    continue
+                ph.lat.append(t1 - t0)
+                ph.done.append(t1)
+                ph.sizes.append(len(packets[k].payload))
+                got = str(reply.get("action"))
+                tally.check(got == actions[k], "wrong-verdict",
+                            f"capacity packet {k} (pass {rnd}, "
+                            f"{packets[k].flow}): {got} != {actions[k]}")
+
+        await asyncio.gather(sender(), receiver())
+
+    await asyncio.wait_for(
+        asyncio.gather(*(one(i, c) for i, c in enumerate(conns))),
+        seconds + 60.0)
     return ph
 
 
@@ -310,10 +403,9 @@ async def _run(seed: int, seconds: float, trace: bool, workdir: Path
     res = RunResult()
     tally = res.tally
     phase = seconds / 2 if trace else seconds
-    swap_s = phase * SWAP_SHARE
-    alone = int(RATE * (phase - swap_s))
-    beside = int(RATE * swap_s)
-    packets = alone + beside
+    capacity_s = phase * CAPACITY_SHARE
+    open_s = phase - capacity_s
+    packets = int(RATE * open_s)
     traced_packets = int(RATE * seconds / 2) if trace else 0
     inp = _inputs(seed, packets + traced_packets)
     traffic = inp["traffic"]
@@ -326,7 +418,9 @@ async def _run(seed: int, seconds: float, trace: bool, workdir: Path
         attack_fraction=ATTACK_FRACTION, min_body=MIN_BODY,
         max_body=MAX_BODY, connections=CONNECTIONS,
         pool_workers=POOL_WORKERS, loop="open", rate_rps=RATE,
-        admin_period_s=ADMIN_PERIOD_S, swap_share=SWAP_SHARE,
+        admin_period_s=ADMIN_PERIOD_S,
+        capacity_share=CAPACITY_SHARE, capacity_loop="closed",
+        capacity_depth=CAPACITY_DEPTH,
         late_limit_ms=LATE_LIMIT_MS,
         packets=packets, setups=SETUPS)
 
@@ -358,37 +452,38 @@ async def _run(seed: int, seconds: float, trace: bool, workdir: Path
             await conn0.call(item.header, item.payload)
             tally.ok()
 
-        # FLOW load alone, then FLOW load with swaps beside it.
+        # FLOW load with the swaps beside it, then closed-loop capacity
+        # on the same packets under fresh flow names.
         main = await _open_loop(
-            conns, _split(_flow_items(traffic[:alone],
-                                      actions_exp[:alone], RATE, 0.0)),
+            conns, _split(_flow_items(traffic[:packets],
+                                      actions_exp[:packets], RATE, 0.0)
+                          + _admin_items(inp, open_s, 0.0)),
             tally, tracer, timeout=phase + 60.0)
-        swaps = await _open_loop(
-            conns, _split(_flow_items(traffic[alone:packets],
-                                      actions_exp[alone:packets], RATE,
-                                      0.0)
-                          + _admin_items(inp, swap_s, 0.0)),
-            tally, tracer, timeout=phase + 60.0)
+        capacity = await _closed_loop(conns, traffic[:packets],
+                                      actions_exp[:packets], capacity_s,
+                                      tally, tracer)
         flow_lat = main.lat["flow"]
-        late = main.late + swaps.late
+        late = main.late
         res.samples["latency_ms"] = [x * 1e3 for x in flow_lat]
-        res.samples["latency_beside_swaps_ms"] = \
-            [x * 1e3 for x in swaps.lat["flow"]]
-        res.samples["reload_ms"] = [x * 1e3 for x in swaps.lat["reload"]]
-        res.samples["policy_ms"] = [x * 1e3 for x in swaps.lat["policy"]]
+        res.samples["reload_ms"] = [x * 1e3 for x in main.lat["reload"]]
+        res.samples["policy_ms"] = [x * 1e3 for x in main.lat["policy"]]
         res.samples["late_ms"] = [x * 1e3 for x in late]
+        res.samples["capacity_latency_ms"] = \
+            [x * 1e3 for x in capacity.lat]
         res.end_to_end.update(main.metrics())
+        cap = capacity.metrics()
+        res.end_to_end.update(gbps=cap["gbps"], rps=cap["rps"])
+        res.notes["capacity_p50_ms"] = cap["p50_ms"]
+        res.notes["open_loop_offered_rps"] = RATE
         res.end_to_end["reload_p50_ms"] = \
-            quantile(swaps.lat["reload"], 0.5) * 1e3
+            quantile(main.lat["reload"], 0.5) * 1e3
         res.end_to_end["p99_ms"] = quantile(flow_lat, 0.99) * 1e3
-        res.notes["client_actions"] = {
-            a: main.actions.get(a, 0) + swaps.actions.get(a, 0)
-            for a in set(main.actions) | set(swaps.actions)}
+        res.notes["client_actions"] = main.actions
         late_p95 = quantile(late, 0.95) * 1e3
         layer = res.per_layer
         layer["loadgen.late_ms_p95"] = late_p95
         layer["policy.swap_p50_ms"] = \
-            quantile(swaps.lat["policy"], 0.5) * 1e3
+            quantile(main.lat["policy"], 0.5) * 1e3
         if late_p95 > LATE_LIMIT_MS:
             res.invalid = (f"open-loop sender fell behind schedule: "
                            f"late p95 {late_p95:.2f} ms > "
@@ -398,13 +493,13 @@ async def _run(seed: int, seconds: float, trace: bool, workdir: Path
             tracer.enabled = True
             res.notes["tracer"] = tracer
             t_items = _flow_items(traffic[packets:],
-                                  actions_exp[packets:], RATE, 0.0)
+                                  actions_exp[packets:], RATE, 0.0) \
+                + _admin_items(inp, seconds / 2, 0.0)
             t_phase = await _open_loop(
                 conns, _split(t_items), tally, tracer,
                 timeout=seconds / 2 + 60.0)
             tracer.enabled = False
-            async with busy_poll():
-                pings = await ping_rtts(conn0, PINGS)
+            pings = await ping_rtts(conn0, PINGS)
         stats = await conn0.call({"verb": "STATS"})
     finally:
         for c in conns:

@@ -6,9 +6,12 @@ with the default config and a small dictionary.  One load process
 drives it closed-loop over 2 connections from one thread: each
 connection sends its next SCAN as soon as the previous reply arrives.
 Payloads are seeded ``packet_stream`` packets of 256-1,500 bytes, 20%
-carrying a planted entry.  After the timed phase, the default
-dictionary is swapped with RELOAD on the idle daemon, alternating with
-a copy carrying decoy entries that no payload contains.
+carrying a planted entry.  The timed phase is cut into segments of at
+most :data:`SEGMENT_S` seconds.  After each segment the default
+dictionary is swapped :data:`SWAPS_PER_SEGMENT` times with RELOAD on
+the idle daemon, alternating with a copy carrying decoy entries that no
+payload contains, so the swaps are sampled across the whole run.  Each
+metric is the median over segments.
 
 Correctness: every reply's match count must equal an in-process
 ``execute(backend="serial")`` replay of the same payload, and every
@@ -18,6 +21,7 @@ SCAN after a swap must be served by the new generation.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,8 +34,7 @@ from repro.service.protocol import encode_patterns
 from repro.workloads.traffic import packet_stream
 
 from .metrics import RunResult, SetupError
-from .service import (Conn, ReplyError, busy_poll, ping_rtts,
-                      start_daemons)
+from .service import Conn, ReplyError, ping_rtts, start_daemons
 from .stats import Tally, load_metrics, quantile
 from .trace import Tracer
 
@@ -43,14 +46,15 @@ DECOYS = [b"QZXDECOYALPHA", b"QZXDECOYBRAVO", b"QZXDECOYCHARLIE"]
 CONNECTIONS = 2
 POOL = 1000
 MIN_SIZE, MAX_SIZE, MATCH_FRACTION = 256, 1500, 0.2
-SETUPS = 3
+SETUPS = 5
 WARMUP_REQUESTS = 200
 WARMUP_S = 0.5
-SWAPS = 30
+#: Metrics are medians over segments of at most this many seconds, so
+#: a burst of interference on the host moves a few segments, not the
+#: result.
+SEGMENT_S = 5.0
+SWAPS_PER_SEGMENT = 5
 PINGS = 200
-#: Metrics are medians over windows of this many seconds, so a burst
-#: of interference on the host moves a few windows, not the result.
-WINDOW_S = 5.0
 
 
 @dataclass
@@ -66,7 +70,7 @@ class Phase:
 
     def metrics(self) -> Dict[str, float]:
         return load_metrics(self.done, self.lat, self.sizes, self.start,
-                            self.end, WINDOW_S)
+                            self.end, SEGMENT_S)
 
 
 def _inputs(seed: int):
@@ -127,21 +131,20 @@ async def _closed_loop(conns: List[Conn], payloads, expected, seconds,
                         f"payload {idx}: {reply.get('matches')} != "
                         f"{expected[idx]}")
 
-    async with busy_poll():
-        await asyncio.gather(*(one(i, c) for i, c in enumerate(conns)))
+    await asyncio.gather(*(one(i, c) for i, c in enumerate(conns)))
     return Phase(lat, done, sizes, t_start, deadline, backends)
 
 
-async def _swaps(conn: Conn, payloads, expected, tally: Tally
-                 ) -> List[float]:
-    """RELOAD the default dictionary :data:`SWAPS` times, alternating
-    with a copy carrying the decoys; each swap is checked by a SCAN
-    that the new generation must serve with the expected count.
-    Returns the RELOAD round-trip times."""
+async def _swaps(conn: Conn, payloads, expected, tally: Tally,
+                 first: int, count: int) -> List[float]:
+    """RELOAD the default dictionary ``count`` times, alternating with
+    a copy carrying the decoys (swap ``first`` onwards); each swap is
+    checked by a SCAN that the new generation must serve with the
+    expected count.  Returns the RELOAD round-trip times."""
     sets = [PATTERNS + DECOYS, PATTERNS]
     probe = max(range(len(payloads)), key=lambda i: expected[i])
     reloads = []
-    for i in range(SWAPS):
+    for i in range(first, first + count):
         t0 = time.perf_counter()
         try:
             reply = await conn.call({"verb": "RELOAD", "regex": False},
@@ -175,7 +178,8 @@ async def _run(seed: int, seconds: float, trace: bool, workdir: Path
         connections=CONNECTIONS, loop="closed", payloads=POOL,
         min_size=MIN_SIZE, max_size=MAX_SIZE,
         match_fraction=MATCH_FRACTION, patterns=len(PATTERNS),
-        setups=SETUPS, swaps=SWAPS, mode="in-process daemon")
+        setups=SETUPS, segment_s=SEGMENT_S,
+        swaps_per_segment=SWAPS_PER_SEGMENT, mode="in-process daemon")
     tracer = Tracer(enabled=False)
     args = []
     for p in PATTERNS:
@@ -192,15 +196,31 @@ async def _run(seed: int, seconds: float, trace: bool, workdir: Path
                            expected[:WARMUP_REQUESTS], WARMUP_S, tally,
                            tracer)
 
+        # Closed-loop segments, each followed by dictionary swaps on
+        # the idle daemon, each swap checked by a SCAN.
         phase = seconds / 2 if trace else seconds
-        main = await _closed_loop(conns, payloads, expected, phase,
-                                  tally, tracer)
-        lat = main.lat
+        segments = max(1, math.ceil(phase / SEGMENT_S - 1e-9))
+        lat: List[float] = []
+        reloads: List[float] = []
+        per: List[Dict[str, float]] = []
+        for k in range(segments):
+            seg = await _closed_loop(conns, payloads, expected,
+                                     phase / segments, tally, tracer,
+                                     offset=len(lat))
+            reloads += await _swaps(conn0, payloads, expected, tally,
+                                    k * SWAPS_PER_SEGMENT,
+                                    SWAPS_PER_SEGMENT)
+            lat += seg.lat
+            per.append(seg.metrics())
+            for name, n in seg.backends.items():
+                key = f"planner.backend.{name}"
+                res.per_layer[key] = res.per_layer.get(key, 0) + n
         res.samples["latency_ms"] = [x * 1e3 for x in lat]
-        res.end_to_end.update(main.metrics())
+        res.samples["reload_ms"] = [x * 1e3 for x in reloads]
+        res.end_to_end.update({key: quantile([m[key] for m in per], 0.5)
+                               for key in per[0]})
+        res.end_to_end["reload_p50_ms"] = quantile(reloads, 0.5) * 1e3
         res.end_to_end["p99_ms"] = quantile(lat, 0.99) * 1e3
-        for name, n in main.backends.items():
-            res.per_layer[f"planner.backend.{name}"] = n
 
         if trace:
             tracer.enabled = True
@@ -209,14 +229,7 @@ async def _run(seed: int, seconds: float, trace: bool, workdir: Path
                 conns, payloads, expected, seconds / 2, tally, tracer,
                 offset=len(lat))
             tracer.enabled = False
-            async with busy_poll():
-                pings = await ping_rtts(conn0, PINGS)
-
-        # Dictionary swaps on the idle daemon, each checked by a SCAN.
-        async with busy_poll():
-            reloads = await _swaps(conn0, payloads, expected, tally)
-        res.samples["reload_ms"] = [x * 1e3 for x in reloads]
-        res.end_to_end["reload_p50_ms"] = quantile(reloads, 0.5) * 1e3
+            pings = await ping_rtts(conn0, PINGS)
         stats = await conn0.call({"verb": "STATS"})
     finally:
         for c in conns:
