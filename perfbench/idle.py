@@ -5,10 +5,10 @@ On a virtualized host a CPU with nothing to run halts, and waking it
 again waits for the hypervisor to schedule it.  The service workloads
 sleep and wake on every request, so that wait would be charged to the
 daemon, and it swings with the load of other machines on the host: on
-the 2-core host this benchmark was built on, ``packet_scan`` ran at
-430-620 replies/s with 14-20% of CPU time stolen by the hypervisor,
-and at 810-1,020 replies/s with 2-7% stolen when every CPU was kept
-busy like this.
+the 2-core host this benchmark was built on, a closed loop of
+packet-sized SCANs against ``repro serve`` ran at 430-620 replies/s
+with 14-20% of CPU time stolen by the hypervisor, and at 810-1,020
+replies/s with 2-7% stolen when every CPU was kept busy like this.
 
 Each spinner is a process under ``SCHED_IDLE``: the kernel runs it
 only when no other task wants that CPU and preempts it as soon as one

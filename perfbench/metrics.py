@@ -33,8 +33,10 @@ class RunResult:
     samples: Dict[str, List[float]] = field(default_factory=dict)
     params: Dict[str, object] = field(default_factory=dict)
     notes: Dict[str, object] = field(default_factory=dict)
-    #: Why the run is void (open-loop generator fell behind); None = valid.
-    invalid: str = ""
+    #: Why the run's latencies are suspect (the open-loop sender fell
+    #: behind its schedule); empty when they are not.  A flagged run
+    #: still reports its metrics, and the flag goes to its metadata.
+    flag: str = ""
 
     def sample_summary(self) -> Dict[str, Dict[str, float]]:
         return {k: summarize(v) for k, v in self.samples.items()}

@@ -3,10 +3,10 @@
 
     python3 perfbench/run.py --workload block --seed 1 --seconds 10 --trace 0
 
-Workloads: ``block`` (the scan core on a 16 MB block, in-process),
-``packet_scan`` (stateless SCANs against ``repro serve``, closed loop)
-and ``flow_policy`` (tenant FLOW packets against a pooled ``repro
-serve``, open loop, with dictionary and policy swaps).  See README.md.
+Workloads: ``block`` (the scan core on a 16 MB block, in-process) and
+``flow_policy`` (tenant FLOW packets against a pooled ``repro serve``,
+open loop with dictionary and policy swaps, and closed-loop capacity).
+See README.md.
 
 With ``--trace 0`` the run measures the end-to-end metrics untraced;
 with ``--trace 1`` it measures the per-layer metrics, timing spans
@@ -19,8 +19,10 @@ counts) and, for traced runs, every span are written to
 
 Exit codes: 0 all outputs correct; 1 a wrong output or a failed
 operation (the result line says which); 2 the repository sources are
-missing or the arguments are bad; 3 the run is void (set-up failed, the
-daemon misbehaved, or the open-loop generator fell behind schedule).
+missing or the arguments are bad; 3 the run is void (set-up failed or
+the daemon misbehaved).  A run whose open-loop sender fell behind its
+schedule still exits 0; it is flagged on standard error and in its
+metadata.
 
 While a workload runs, one ``SCHED_IDLE`` spinner per CPU keeps the
 CPUs from halting (see ``idle.py``).
@@ -40,7 +42,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-WORKLOADS = ("block", "packet_scan", "flow_policy")
+WORKLOADS = ("block", "flow_policy")
 
 
 def _parse(argv):
@@ -95,10 +97,8 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     elapsed = time.perf_counter() - t0
-    if res.invalid:
-        print(f"error: {args.workload} run void: {res.invalid}",
-              file=sys.stderr)
-        return 3
+    if res.flag:
+        print(f"warning: {args.workload}: {res.flag}", file=sys.stderr)
 
     catalogue = _catalogue("per_layer" if args.trace else "end_to_end")
     source = res.per_layer if args.trace else res.end_to_end
@@ -116,6 +116,7 @@ def main(argv=None) -> int:
         "params": res.params,
         "elapsed_s": elapsed,
         "attempted": tally.attempted, "failed": tally.failed,
+        "flag": res.flag,
         "error_frac": tally.error_frac, "failures": tally.failures,
         "failure_examples": tally.examples,
         "samples": res.sample_summary(),

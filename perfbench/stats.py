@@ -91,53 +91,3 @@ class Tally:
     @property
     def error_frac(self) -> float:
         return self.failed / self.attempted if self.attempted else 0.0
-
-
-def per_window(stamps: Sequence[float], values: Sequence[float],
-               start: float, end: float, window: float
-               ) -> List[List[float]]:
-    """Split ``values`` by their ``stamps`` into consecutive windows of
-    ``window`` seconds from ``start``.  Only whole windows before
-    ``end`` are kept: a trailing partial window is dropped."""
-    if window <= 0:
-        raise ValueError("window must be positive")
-    count = int((end - start) / window + 1e-9)
-    out: List[List[float]] = [[] for _ in range(count)]
-    for t, v in zip(stamps, values):
-        i = int((t - start) // window)
-        if 0 <= i < count:
-            out[i].append(v)
-    return out
-
-
-def windowed(windows: Sequence[Sequence[float]], q: float) -> float:
-    """Median over windows of each non-empty window's ``q``-quantile."""
-    per = [quantile(w, q) for w in windows if w]
-    if not per:
-        raise ValueError("no samples in any window")
-    return quantile(per, 0.5)
-
-
-def windowed_rate(windows: Sequence[Sequence[float]],
-                  window: float) -> float:
-    """Median over windows of completions per second."""
-    if not windows:
-        raise ValueError("no whole window")
-    return quantile([len(w) / window for w in windows], 0.5)
-
-
-def load_metrics(done: Sequence[float], latency: Sequence[float],
-                 sizes: Sequence[int], start: float, end: float,
-                 window: float) -> Dict[str, float]:
-    """``gbps``, ``rps``, ``p50_ms`` and ``p95_ms`` of one load phase,
-    each a median over the phase's whole windows of ``window`` seconds
-    (one window when the phase is shorter).  ``done`` holds each
-    request's completion time, ``sizes`` its payload bytes."""
-    width = min(window, end - start)
-    lat_w = per_window(done, latency, start, end, width)
-    size_w = per_window(done, sizes, start, end, width)
-    return dict(
-        gbps=quantile([sum(w) * 8 / width / 1e9 for w in size_w], 0.5),
-        rps=windowed_rate(lat_w, width),
-        p50_ms=windowed(lat_w, 0.5) * 1e3,
-        p95_ms=windowed(lat_w, 0.95) * 1e3)

@@ -1,5 +1,5 @@
-"""The benchmark's own arithmetic: quantiles, span self time, open-loop
-latency and failure accounting.
+"""The benchmark's own arithmetic: quantiles, closed-loop capacity, span
+self time, open-loop latency and failure accounting.
 
     python3 -m pytest perfbench/tests -q
 """
@@ -9,9 +9,7 @@ import time
 
 import pytest
 
-from perfbench.stats import (Tally, load_metrics, per_window, quantile,
-                             summarize, tail_supported, windowed,
-                             windowed_rate)
+from perfbench.stats import Tally, quantile, summarize, tail_supported
 from perfbench.trace import Span, Tracer, covered, self_times
 
 
@@ -50,20 +48,18 @@ def test_tail_needs_ten_samples_beyond():
     assert s["p95_supported"] and not s["p99_supported"]
 
 
-def test_windows_drop_the_partial_tail_and_take_medians():
-    stamps = [0.1, 0.2, 0.3, 1.5, 2.2, 2.4, 2.6, 2.8, 3.1]
-    values = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]
-    wins = per_window(stamps, values, 0.0, 3.5, 1.0)
-    assert wins == [[1.0, 2.0, 3.0], [4.0], [5.0, 6.0, 7.0, 8.0]]
-    assert windowed_rate(wins, 1.0) == 3        # rates 3, 1, 4
-    assert windowed(wins, 0.5) == 4.0           # medians 2, 4, 6
-    assert windowed([[], [1.0, 9.0]], 1.0) == 9.0
-    m = load_metrics(stamps, values, [1000] * 9, 0.0, 3.5, 1.0)
-    assert m["rps"] == 3 and m["p50_ms"] == 4000.0
-    assert m["gbps"] == pytest.approx(3 * 1000 * 8 / 1e9)
-    # A phase shorter than a window is one window.
-    short = load_metrics([0.1, 0.2], [1.0, 3.0], [10, 10], 0.0, 0.5, 5.0)
-    assert short["rps"] == pytest.approx(4.0)
+def test_capacity_counts_replies_inside_each_phase():
+    from perfbench.wl_flow_policy import ClosedPhase, capacity
+    # Two 2-second phases; the reply at 12.5 s came after its phase's
+    # deadline (it was in flight when the phase ended) and is not
+    # counted.
+    phases = [ClosedPhase(start=0.0, end=2.0, done=[0.5, 1.0, 1.9],
+                          sizes=[100, 100, 100]),
+              ClosedPhase(start=10.0, end=12.0, done=[11.0, 12.5],
+                          sizes=[1000, 1000])]
+    m = capacity(phases)
+    assert m["rps"] == pytest.approx(4 / 4.0)
+    assert m["gbps"] == pytest.approx(1300 * 8 / 4.0 / 1e9)
 
 
 # -- span self time ------------------------------------------------------------

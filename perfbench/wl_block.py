@@ -38,10 +38,10 @@ NUM_SIGNATURES = 25
 #: exercises the same plan.
 DICTIONARY_SEED = 90
 #: Cold set-ups per run; ``setup_s`` is their median.
-SETUPS = 5
+SETUPS = 7
 #: Dictionary swaps after the timed phase; ``reload_p50_ms`` is their
 #: median.
-SWAPS = 20
+SWAPS = 60
 #: Leading slice of the block re-scanned after each swap as its check.
 PROBE_BYTES = 2_000_000
 

@@ -12,12 +12,15 @@ order.  On connection 0 a tenant-dictionary RELOAD and a POLICY swap
 alternate every :data:`ADMIN_PERIOD_S` seconds.  Latency is timed from
 each request's scheduled send time; how late the sender ran is
 reported as ``loadgen.late_ms_p95``, and a run whose sender fell more
-than :data:`LATE_LIMIT_MS` behind is void.  The open loop sets
+than :data:`LATE_LIMIT_MS` behind is flagged.  The open loop sets
 ``p50_ms`` and ``reload_p50_ms``.  Its throughput is the offered rate,
-so ``rps`` and ``gbps`` come from a closed-loop phase at the end
-instead: each connection keeps :data:`CAPACITY_DEPTH` FLOWs in flight,
-and the two connections together measure how many FLOWs per second the
-daemon completes.
+so ``rps`` and ``gbps`` come from closed-loop phases instead: each
+connection keeps :data:`CAPACITY_DEPTH` FLOWs in flight, and the two
+connections together measure how many FLOWs per second the daemon
+completes.  The timed phase is :data:`ROUNDS` rounds of open loop then
+closed loop, so both kinds of phase sample the whole run: the host's
+speed drifts over tens of seconds, and a single closed-loop phase at
+the end would measure only its last stretch.
 
 Correctness: every FLOW verdict must equal the planted-attack ground
 truth.  Rules are first-match with threshold 1, so a flow forwards
@@ -39,7 +42,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List
 
+from repro.core.backends import ScanContext, ScanRequest, execute
 from repro.core.compiled import compile_dictionary
+from repro.core.planner import plan_backend
 from repro.policy import Rule, RuleSet, Tenant
 from repro.service.protocol import encode_patterns
 from repro.service.sessions import SessionScanner
@@ -48,7 +53,7 @@ from repro.workloads.traffic import tenant_traffic
 
 from .metrics import RunResult, SetupError
 from .service import Conn, ping_rtts, start_daemons
-from .stats import load_metrics, quantile
+from .stats import quantile
 from .trace import Tracer
 
 TENANT = "t0"
@@ -66,24 +71,23 @@ POOL_WORKERS = 2
 #: capacity measured on a 2-core host.
 RATE = 120.0
 #: A RELOAD or a POLICY swap every this many seconds, alternating.
-ADMIN_PERIOD_S = 1.0
-#: Share of the timed phase that measures closed-loop FLOW capacity,
-#: and the window its medians are taken over.
-CAPACITY_SHARE = 1 / 5
-CAPACITY_WINDOW_S = 2.0
+ADMIN_PERIOD_S = 0.5
+#: Share of the timed phase that measures closed-loop FLOW capacity.
+CAPACITY_SHARE = 1 / 3
+#: Open-loop/closed-loop rounds the timed phase is cut into.
+ROUNDS = 6
 #: FLOWs each connection keeps in flight in the capacity phase: enough
 #: that both pool workers always have work queued.
 CAPACITY_DEPTH = 4
-#: A sender more than this late at p95 voids the run.
+#: A sender more than this late at p95 flags the run: its latencies
+#: are still timed from the schedule, but the load it offered was
+#: burstier than planned.
 LATE_LIMIT_MS = 10.0
 SETUPS = 5
 WARMUP_PACKETS = 100
 #: Packets replayed in-process for the per-layer split.
 REPLAY_PACKETS = 400
 PINGS = 200
-#: Metrics are medians over windows of this many seconds, so a burst
-#: of interference on the host moves a few windows, not the result.
-WINDOW_S = 5.0
 
 
 @dataclass
@@ -194,17 +198,20 @@ def _flow_items(packets, actions, rate: float, t0: float) -> List[Item]:
             for k, p in enumerate(packets)]
 
 
-def _admin_items(inp, seconds: float, t0: float) -> List[Item]:
+def _admin_items(inp, seconds: float, t0: float, first: int = 0
+                 ) -> List[Item]:
     """RELOADs and POLICY swaps, alternating every
     :data:`ADMIN_PERIOD_S` (or faster, so a short phase still holds one
-    of each), each back and forth between the two variants."""
+    of each), each back and forth between the two variants.  ``first``
+    is the number of swaps already sent, so consecutive phases carry
+    on the alternation: every swap changes what the daemon holds."""
     sets = [inp["kw"] + inp["extras"], inp["kw"]]
     policies = [inp["alt_rules"], inp["rules"]]
     period = min(ADMIN_PERIOD_S, seconds / 2)
     items = []
-    j = 0
-    while (j + 0.5) * period < seconds:
-        t = t0 + (j + 0.5) * period
+    j = first
+    while (j - first + 0.5) * period < seconds:
+        t = t0 + (j - first + 0.5) * period
         k = j // 2
         if j % 2 == 0:
             items.append(Item(t=t, kind="reload",
@@ -225,18 +232,10 @@ class OpenPhase:
     """Per-request samples of one open-loop phase."""
 
     start: float
-    end: float = 0.0
     lat: Dict[str, List[float]] = field(default_factory=lambda: {
         "flow": [], "reload": [], "policy": []})
     late: List[float] = field(default_factory=list)
     actions: Dict[str, int] = field(default_factory=dict)
-    done: List[float] = field(default_factory=list)     # FLOW replies
-    sizes: List[int] = field(default_factory=list)
-
-    def metrics(self) -> Dict[str, float]:
-        """FLOW metrics up to the last scheduled send."""
-        return load_metrics(self.done, self.lat["flow"], self.sizes,
-                            self.start, self.end, WINDOW_S)
 
 
 async def _open_loop(conns: List[Conn], plan: List[List[Item]],
@@ -278,8 +277,6 @@ async def _open_loop(conns: List[Conn], plan: List[List[Item]],
             if item.kind != "flow":
                 tally.ok()
                 continue
-            ph.done.append(arrived)
-            ph.sizes.append(len(item.payload))
             got = str(reply.get("action"))
             actions[got] = actions.get(got, 0) + 1
             tally.check(got == item.expect, "wrong-verdict",
@@ -292,14 +289,12 @@ async def _open_loop(conns: List[Conn], plan: List[List[Item]],
         tasks.append(sender(conn, items, pending))
         tasks.append(receiver(conn, len(items), pending))
     await asyncio.wait_for(asyncio.gather(*tasks), timeout)
-    ph.end = ph.start + 1.0 / RATE + max(
-        it.t for items in plan for it in items if it.kind == "flow")
     return ph
 
 
 @dataclass
 class ClosedPhase:
-    """Per-request samples of the closed-loop capacity phase."""
+    """Per-request samples of one closed-loop capacity phase."""
 
     start: float
     end: float
@@ -307,19 +302,31 @@ class ClosedPhase:
     done: List[float] = field(default_factory=list)
     sizes: List[int] = field(default_factory=list)
 
-    def metrics(self) -> Dict[str, float]:
-        return load_metrics(self.done, self.lat, self.sizes, self.start,
-                            self.end, CAPACITY_WINDOW_S)
+
+def capacity(phases: List[ClosedPhase]) -> Dict[str, float]:
+    """FLOWs per second and payload Gbit/s completed over ``phases``:
+    the replies that arrived before their phase's deadline, over the
+    phases' summed length.  Replies to requests still in flight at the
+    deadline are drained but not counted."""
+    seconds = sum(ph.end - ph.start for ph in phases)
+    done = nbytes = 0
+    for ph in phases:
+        for t, size in zip(ph.done, ph.sizes):
+            if t < ph.end:
+                done += 1
+                nbytes += size
+    return {"rps": done / seconds, "gbps": nbytes * 8 / seconds / 1e9}
 
 
 async def _closed_loop(conns: List[Conn], packets, actions,
-                       seconds: float, tally, tracer: Tracer
+                       seconds: float, tally, tracer: Tracer, tag: int
                        ) -> ClosedPhase:
     """Each connection keeps :data:`CAPACITY_DEPTH` FLOWs in flight
     until the deadline, cycling through its own flows of ``packets``.
-    Every pass renames the flows, so it starts fresh sessions and the
-    expected verdicts repeat.  A connection's replies come back in
-    order, so each pairs with the oldest request in flight."""
+    Every pass renames the flows (``tag`` tells phases apart), so it
+    starts fresh sessions and the expected verdicts repeat.  A
+    connection's replies come back in order, so each pairs with the
+    oldest request in flight."""
     start = time.perf_counter()
     ph = ClosedPhase(start=start, end=start + seconds)
 
@@ -342,7 +349,7 @@ async def _closed_loop(conns: List[Conn], packets, actions,
                 root = tracer.reserve()
                 t0 = time.perf_counter()
                 rid = conn.send({"verb": "FLOW",
-                                 "flow": f"cap{rnd}-{p.flow}",
+                                 "flow": f"cap{tag}.{rnd}-{p.flow}",
                                  "tenant": TENANT}, p.payload, parent=root)
                 pending.put_nowait((k, rnd, t0, root, rid))
                 await conn.writer.drain()
@@ -418,7 +425,7 @@ async def _run(seed: int, seconds: float, trace: bool, workdir: Path
         attack_fraction=ATTACK_FRACTION, min_body=MIN_BODY,
         max_body=MAX_BODY, connections=CONNECTIONS,
         pool_workers=POOL_WORKERS, loop="open", rate_rps=RATE,
-        admin_period_s=ADMIN_PERIOD_S,
+        admin_period_s=ADMIN_PERIOD_S, rounds=ROUNDS,
         capacity_share=CAPACITY_SHARE, capacity_loop="closed",
         capacity_depth=CAPACITY_DEPTH,
         late_limit_ms=LATE_LIMIT_MS,
@@ -448,53 +455,67 @@ async def _run(seed: int, seconds: float, trace: bool, workdir: Path
         # One swap to each dictionary and policy and back, so the
         # artifact cache holds both dictionaries and every timed swap
         # is warm; the cold compile is part of setup_s.
-        for item in _admin_items(inp, 4 * ADMIN_PERIOD_S, 0.0):
+        warm_swaps = _admin_items(inp, 4 * ADMIN_PERIOD_S, 0.0)
+        for item in warm_swaps:
             await conn0.call(item.header, item.payload)
             tally.ok()
 
-        # FLOW load with the swaps beside it, then closed-loop capacity
-        # on the same packets under fresh flow names.
-        main = await _open_loop(
-            conns, _split(_flow_items(traffic[:packets],
-                                      actions_exp[:packets], RATE, 0.0)
-                          + _admin_items(inp, open_s, 0.0)),
-            tally, tracer, timeout=phase + 60.0)
-        capacity = await _closed_loop(conns, traffic[:packets],
-                                      actions_exp[:packets], capacity_s,
-                                      tally, tracer)
-        flow_lat = main.lat["flow"]
-        late = main.late
+        # Rounds of FLOW load with the swaps beside it, each followed by
+        # closed-loop capacity on the same packets under fresh names.
+        per_round = packets // ROUNDS
+        swaps = len(warm_swaps)
+        flow_lat: List[float] = []
+        admin: Dict[str, List[float]] = {"reload": [], "policy": []}
+        late: List[float] = []
+        actions: Dict[str, int] = {}
+        closed: List[ClosedPhase] = []
+        for r in range(ROUNDS):
+            lo, hi = r * per_round, (r + 1) * per_round
+            admin_items = _admin_items(inp, open_s / ROUNDS, 0.0, swaps)
+            swaps += len(admin_items)
+            ph = await _open_loop(
+                conns, _split(_flow_items(traffic[lo:hi],
+                                          actions_exp[lo:hi], RATE, 0.0)
+                              + admin_items),
+                tally, tracer, timeout=phase + 60.0)
+            flow_lat += ph.lat["flow"]
+            for kind in admin:
+                admin[kind] += ph.lat[kind]
+            late += ph.late
+            for name, n in ph.actions.items():
+                actions[name] = actions.get(name, 0) + n
+            closed.append(await _closed_loop(
+                conns, traffic[:packets], actions_exp[:packets],
+                capacity_s / ROUNDS, tally, tracer, tag=r))
         res.samples["latency_ms"] = [x * 1e3 for x in flow_lat]
-        res.samples["reload_ms"] = [x * 1e3 for x in main.lat["reload"]]
-        res.samples["policy_ms"] = [x * 1e3 for x in main.lat["policy"]]
+        res.samples["reload_ms"] = [x * 1e3 for x in admin["reload"]]
+        res.samples["policy_ms"] = [x * 1e3 for x in admin["policy"]]
         res.samples["late_ms"] = [x * 1e3 for x in late]
         res.samples["capacity_latency_ms"] = \
-            [x * 1e3 for x in capacity.lat]
-        res.end_to_end.update(main.metrics())
-        cap = capacity.metrics()
-        res.end_to_end.update(gbps=cap["gbps"], rps=cap["rps"])
-        res.notes["capacity_p50_ms"] = cap["p50_ms"]
+            [x * 1e3 for ph in closed for x in ph.lat]
+        res.end_to_end.update(capacity(closed))
+        res.end_to_end.update(
+            p50_ms=quantile(flow_lat, 0.5) * 1e3,
+            p95_ms=quantile(flow_lat, 0.95) * 1e3,
+            p99_ms=quantile(flow_lat, 0.99) * 1e3,
+            reload_p50_ms=quantile(admin["reload"], 0.5) * 1e3)
         res.notes["open_loop_offered_rps"] = RATE
-        res.end_to_end["reload_p50_ms"] = \
-            quantile(main.lat["reload"], 0.5) * 1e3
-        res.end_to_end["p99_ms"] = quantile(flow_lat, 0.99) * 1e3
-        res.notes["client_actions"] = main.actions
+        res.notes["client_actions"] = actions
         late_p95 = quantile(late, 0.95) * 1e3
         layer = res.per_layer
         layer["loadgen.late_ms_p95"] = late_p95
-        layer["policy.swap_p50_ms"] = \
-            quantile(main.lat["policy"], 0.5) * 1e3
+        layer["policy.swap_p50_ms"] = quantile(admin["policy"], 0.5) * 1e3
         if late_p95 > LATE_LIMIT_MS:
-            res.invalid = (f"open-loop sender fell behind schedule: "
-                           f"late p95 {late_p95:.2f} ms > "
-                           f"{LATE_LIMIT_MS} ms")
+            res.flag = (f"open-loop sender fell behind schedule: "
+                        f"late p95 {late_p95:.2f} ms > "
+                        f"{LATE_LIMIT_MS} ms")
 
         if trace:
             tracer.enabled = True
             res.notes["tracer"] = tracer
             t_items = _flow_items(traffic[packets:],
                                   actions_exp[packets:], RATE, 0.0) \
-                + _admin_items(inp, seconds / 2, 0.0)
+                + _admin_items(inp, seconds / 2, 0.0, swaps)
             t_phase = await _open_loop(
                 conns, _split(t_items), tally, tracer,
                 timeout=seconds / 2 + 60.0)
@@ -546,7 +567,9 @@ def _stats_layers(res: RunResult, stats: Dict[str, object]) -> None:
 def _replay(res: RunResult, inp, client_p50: float, traced_p50: float,
             ping_p50: float, tracer: Tracer) -> None:
     """Replay the first packets through the session and policy layers
-    in-process, each call spanned, and split client p50 between them."""
+    in-process, each call spanned, and split client p50 between them.
+    The same payloads also go through the planner and a stateless
+    auto-planned ``execute()``: the packet-sized path a SCAN takes."""
     tracer.enabled = True
     packets = inp["traffic"][:REPLAY_PACKETS]
     with tracer.span("core.compiled.compile_dictionary"):
@@ -554,12 +577,23 @@ def _replay(res: RunResult, inp, client_p50: float, traced_p50: float,
     sessions = SessionScanner(compiled)
     tenant = Tenant(TENANT, inp["kw"], rules=RuleSet(tuple(inp["rules"])))
     try:
-        # Interleaved per packet, so drift in host speed hits both alike.
-        for i, p in enumerate(packets):
-            with tracer.span("service.sessions.scan_packet", request=i):
-                sessions.scan_packet(p.flow, p.payload)
-            with tracer.span("policy.Tenant.scan_packet", request=i):
-                tenant.scan_packet(p.flow, p.payload)
+        with ScanContext(compiled) as ctx:
+            # Interleaved per packet, so drift in host speed hits all
+            # alike.
+            for i, p in enumerate(packets):
+                with tracer.span("service.sessions.scan_packet",
+                                 request=i):
+                    sessions.scan_packet(p.flow, p.payload)
+                with tracer.span("policy.Tenant.scan_packet", request=i):
+                    tenant.scan_packet(p.flow, p.payload)
+                with tracer.span("core.planner.plan_backend", request=i):
+                    plan_backend(nbytes=len(p.payload),
+                                 num_slices=compiled.num_slices,
+                                 exact=compiled.supports_hot_cold,
+                                 fused_bytes=compiled.fused_table_bytes,
+                                 pair_fit=compiled.pair_table_fits())
+                with tracer.span("core.backends.execute", request=i):
+                    execute(ctx, ScanRequest(data=p.payload))
     finally:
         tenant.close()
     tracer.enabled = False
@@ -573,6 +607,8 @@ def _replay(res: RunResult, inp, client_p50: float, traced_p50: float,
     ping_ms = ping_p50 * 1e3
     layer["compiled.compile_s"] = \
         p50("core.compiled.compile_dictionary") / 1e3
+    layer["planner.plan_us"] = p50("core.planner.plan_backend") * 1e3
+    layer["execute.packet_us"] = p50("core.backends.execute") * 1e3
     layer["protocol.encode_us"] = encode * 1e3
     layer["protocol.decode_us"] = decode * 1e3
     layer["sessions.packet_us"] = sess_ms * 1e3
