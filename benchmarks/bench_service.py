@@ -86,42 +86,6 @@ def test_service_load_report(report, report_json, tmp_path):
 
             stats = admin.stats()
 
-    # -- batch executor: identical load, coalesced into fused passes ---
-    # The same deterministic packet stream (same seed) hits a batching
-    # daemon and a plain one; any drift in total matches would mean the
-    # fused cross-request pass changed semantics.
-    batch_config = ServiceConfig(
-        port=0, max_pending=256,
-        scan_threads=min(4, os.cpu_count() or 1),
-        batch_max=8, batch_wait=0.002)
-    with ServiceThread(ScanService(PATTERNS,
-                                   config=batch_config)) as bhandle:
-        batched = run_load(bhandle.host, bhandle.port,
-                           connections=CONNECTIONS,
-                           requests_per_connection=REQUESTS,
-                           patterns=[p.encode() for p in PATTERNS],
-                           match_fraction=0.3, seed=19)
-        with ServiceClient(bhandle.host, bhandle.port) as client:
-            batch_stats = client.stats()
-    with ServiceThread(ScanService(PATTERNS)) as chandle:
-        control = run_load(chandle.host, chandle.port,
-                           connections=CONNECTIONS,
-                           requests_per_connection=REQUESTS,
-                           patterns=[p.encode() for p in PATTERNS],
-                           match_fraction=0.3, seed=19)
-
-    assert batched.errors == 0, batched.error_codes
-    assert control.errors == 0, control.error_codes
-    assert batched.matches == control.matches, \
-        "batched scans drifted from the unbatched counts"
-    batches = batch_stats["metrics"]["batches"]
-    assert batches["requests"] == batched.requests, \
-        "some batchable scans bypassed the batcher"
-    if CONNECTIONS > 1:
-        assert batches["mean_occupancy"] > 1.0, \
-            f"closed-loop load never coalesced " \
-            f"(occupancy {batches['mean_occupancy']:.2f})"
-
     # Zero failed requests across every swap.
     assert scan.errors == 0, scan.error_codes
     assert flow.errors == 0, flow.error_codes
@@ -145,11 +109,6 @@ def test_service_load_report(report, report_json, tmp_path):
         f"  swaps: {metrics['reloads']['count']} "
         f"({metrics['reloads']['warm']} warm), cold "
         f"{cold.seconds * 1e3:.1f} ms / warm {warm.seconds * 1e3:.1f} ms",
-        f"  batch: {batched.summary()}",
-        f"         {batches['count']} batches, occupancy mean "
-        f"{batches['mean_occupancy']:.2f} / max "
-        f"{batches['max_occupancy']} (vs unbatched "
-        f"{control.requests_per_second:.0f} req/s)",
         "",
         metrics_table(metrics),
     ])
@@ -160,14 +119,6 @@ def test_service_load_report(report, report_json, tmp_path):
         "requests_per_connection": REQUESTS,
         "scan": scan.to_payload(),
         "flow": flow.to_payload(),
-        "batch": {
-            "run": batched.to_payload(),
-            "control_run": control.to_payload(),
-            "batches": batches,
-            "batch_max": batch_config.batch_max,
-            "batch_wait": batch_config.batch_wait,
-            "matches_drift": batched.matches - control.matches,
-        },
         "reload": {
             "cold_seconds": round(cold.seconds, 4),
             "warm_seconds": round(warm.seconds, 4),

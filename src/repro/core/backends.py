@@ -158,12 +158,6 @@ class ScanContext:
         self.compiled = compiled
         self._sharded: Dict[int, object] = {}
         self._kernels: Dict[str, object] = {}
-        #: Scanner-side counters of the most recent
-        #: :meth:`batch_totals` call (``None`` when it took the stacked
-        #: fused path, which has no hot/cold accounting): scanner name,
-        #: steps, cold_steps, escapes, hot_hit_rate.  The service's
-        #: batcher aggregates these per dictionary generation.
-        self.last_batch_scan_stats: Optional[Dict] = None
 
     def scanners(self):
         return self.compiled.scanners()
@@ -217,11 +211,13 @@ class ScanContext:
         return kern
 
     def batch_kernel_name(self) -> str:
-        """The kernel the multi-stream batch path runs on: the hot/cold
-        union scan when the dictionary supports it and the planner's
-        footprint rule favours it (partitioned dictionary, or plain
-        fused table over the cache budget) — at pair stride when the
-        full-coverage pair table fits — else the stacked fused grid."""
+        """The union-capable kernel for multi-segment work (the
+        prefilter's verify stage when the plan names no kernel): the
+        hot/cold union scan when the dictionary supports it and the
+        planner's footprint rule favours it (partitioned dictionary, or
+        plain fused table over the cache budget) — at pair stride when
+        the full-coverage pair table fits — else the stacked fused
+        grid."""
         from .planner import CACHE_BUDGET_BYTES
 
         c = self.compiled
@@ -230,51 +226,6 @@ class ScanContext:
                 or c.fused_table_bytes > CACHE_BUDGET_BYTES):
             return "hotcold2" if c.pair_table_fits() else "hotcold"
         return "fused"
-
-    def batch_totals(self, payloads,
-                     prefilter: Optional[bool] = None) -> np.ndarray:
-        """Whole-dictionary totals for a batch of independent payloads
-        in one multi-stream pass — the service batcher's engine, on
-        :meth:`batch_kernel_name`'s kernel.  Bit-identical across
-        kernels.
-
-        Screening rides along: unless ``prefilter=False`` (or the
-        dictionary is not screenable), every payload is screened first
-        and only its candidate windows enter the stream pass — a clean
-        payload costs three vector ops, a match-dense one falls through
-        and is scanned whole.  Totals are identical either way.
-        """
-        name = self.batch_kernel_name()
-        kern = self.kernel(name)
-        kern.reset_stats()
-        pf = self.compiled.prefilter() if prefilter is not False else None
-        totals = self._batch_counts(kern, payloads, pf)
-        stats = kern.stats()
-        self.last_batch_scan_stats = \
-            dict(stats, scanner=name) if stats else None
-        return totals
-
-    def _batch_counts(self, kern, payloads, pf) -> np.ndarray:
-        if pf is None:
-            counts, _ = kern.run_streams(payloads)
-            return counts
-        streams: List[bytes] = []
-        owner: List[int] = []
-        for i, payload in enumerate(payloads):
-            arr = np.frombuffer(payload, dtype=np.uint8)
-            res = pf.screen(arr)
-            if res.fall_through:
-                streams.append(payload)
-                owner.append(i)
-                continue
-            for lo, hi in res.segments.tolist():
-                streams.append(arr[lo:hi].tobytes())
-                owner.append(i)
-        totals = np.zeros(len(payloads), dtype=np.int64)
-        if streams:
-            counts, _ = kern.run_streams(streams)
-            np.add.at(totals, owner, counts)
-        return totals
 
     def sharded(self, workers: int):
         """Cached :class:`~repro.parallel.ShardedScanner` for a worker

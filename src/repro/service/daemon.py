@@ -1,21 +1,28 @@
-"""The live scan daemon: asyncio TCP front end over the scan backends.
+"""The live scan daemon: asyncio TCP front end over the scan workers.
 
 This is the paper's deployment story running end to end: a resident
 compiled dictionary filters traffic from many concurrent clients while
 the *next* dictionary compiles and swaps in underneath — dynamic STT
 replacement (§6) serving live requests instead of a modelled schedule.
 
+The daemon is the paper's PPE: it places work and never scans.  Every
+SCAN, FLOW and CLOSE_FLOW runs one op of
+:class:`~repro.service.worker.RequestOps` on a *target* — the one
+:class:`~repro.service.worker.InlineWorker` in-process, or a pool
+worker process — and each verb does only this: choose the target,
+admit the request, await ``target.call``, stamp ``id``/``ok`` on the
+reply.  Both modes therefore build every reply with the same code.
+
 Layering:
 
 * the event loop owns connections, framing and admission control —
   it never touches a DFA;
-* scans execute on a thread pool (numpy releases the GIL in the hot
-  gather loops), one-shot ``SCAN`` requests through the PR-3 backend
-  registry (:func:`repro.core.backends.execute`), ``FLOW`` packets
-  through the leased generation's
-  :class:`~repro.service.sessions.SessionScanner`;
-* reloads compile on a dedicated single thread so a large dictionary
-  build can never starve the scan pool, then promote atomically via
+* in-process, the inline worker runs the ops on a thread pool (numpy
+  releases the GIL in the hot gather loops) over the daemon's own
+  registry, tenants and metrics;
+* reloads, tenant create/delete and policy swaps run on a dedicated
+  single thread, so neither a large dictionary build nor the locks it
+  holds can stall the event loop, then promote atomically via
   :class:`~repro.service.registry.DictionaryRegistry`;
 * :class:`~repro.service.metrics.ServiceMetrics` observes everything
   and the ``STATS`` verb serves the snapshot;
@@ -24,27 +31,18 @@ Layering:
   isolated dictionary registry, ruleset generation and verdict engine,
   and ``SCAN``/``FLOW``/``CLOSE_FLOW``/``RELOAD`` route to it when the
   request names a ``tenant`` (tenant-less requests serve from the
-  default registry exactly as before — the differential suite pins
-  the rule-free tenant path to it bit for bit).
+  default registry — the differential suite pins the rule-free tenant
+  path to it bit for bit).
 
-**Admission control**: at most ``max_pending`` scan requests are in
-flight; beyond that the daemon either rejects immediately with a
-``busy`` error (``admission="reject"``, the default — shed load early,
-the NIDS stance) or queues the request up to ``request_timeout``
-seconds (``admission="wait"``, the batch stance).  **Graceful drain**:
-shutdown stops accepting, lets in-flight requests finish (bounded by
-``drain_timeout``), then closes connections and releases pools.
-
-**Cross-request batching**: with ``batch_max > 1`` the daemon coalesces
-concurrently queued count-only ``SCAN`` requests into one multi-stream
-scan (:meth:`~repro.core.backends.ScanContext.batch_totals` — the
-cache-resident hot/cold union table when the dictionary supports one,
-else the stacked fused grid) — the paper's 16-interleaved-streams trick
-applied across clients instead of within one buffer.  A batch flushes when ``batch_max`` requests are queued or
-``batch_wait`` seconds after the first one arrived, whichever comes
-first; each request still gets its own admission slot, response header
-and per-request metrics, plus batch-occupancy counters under
-``STATS.metrics.batches``.
+**Admission control**: each target takes at most its cap of requests
+in flight (``max_pending`` for the inline worker, an even split of it
+per pool worker); beyond that the daemon either rejects immediately
+with a ``busy`` error (``admission="reject"``, the default — shed load
+early, the NIDS stance) or queues the request up to
+``request_timeout`` seconds (``admission="wait"``, the batch stance).
+**Graceful drain**: shutdown stops accepting, lets in-flight requests
+finish (bounded by ``drain_timeout``), then closes connections and
+releases pools.
 
 **Pool mode** (``pool_workers > 0``): the daemon becomes a gateway in
 front of a fleet of scan worker *processes* — the paper's PPE/SPE
@@ -54,35 +52,32 @@ each worker attaches to the compiled dictionary through shared memory
 and STATS proves it per worker), owns the flow sessions that
 consistent-hashing places on it, and serves scans from its own
 process so the fleet scales across cores without sharing a GIL.
-Stateless ``SCAN`` stripes to the idlest worker; ``FLOW`` pins to the
-hash owner; ``RELOAD`` fans a generation swap out to every worker,
-which leases the new tables before the gateway retires the old
-segment; ``STATS`` merges per-worker histograms bucket-wise.  The
-in-process batcher is disabled — parallelism comes from the fleet.
+Stateless ``SCAN`` stripes to the idlest worker; ``FLOW`` and
+``CLOSE_FLOW`` pin to the hash owner; ``RELOAD`` fans a generation
+swap out to every worker, which leases the new tables before the
+gateway retires the old segment; ``STATS`` merges per-worker
+histograms bucket-wise.
 """
 
 from __future__ import annotations
 
 import asyncio
 import struct
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..core.backends import BackendError, ScanRequest, execute, get_backend
-from ..core.compiled import CompileError
-from ..core.flows import FlowError
+from ..core.backends import get_backend
 from ..core.scan.bundle import bundle_from_compiled
-from ..policy.rules import PolicyError, RuleSet
-from ..policy.tenants import Tenant, TenantError, TenantManager
+from ..policy.rules import RuleSet
+from ..policy.tenants import Tenant, TenantManager
 from .metrics import ServiceMetrics
 from .pool import WorkerCrashError, WorkerOpError, WorkerPool
 from .protocol import (MAX_FRAME_BYTES, RELOAD_STRATEGY, Frame,
                        ProtocolError, decode_patterns, encode_frame,
                        split_body)
-from .registry import DictionaryRegistry, RegistryError
+from .registry import DictionaryRegistry
+from .worker import InlineWorker, RequestOps, error_reply
 
 __all__ = ["ServiceConfig", "ScanService", "ServiceThread"]
 
@@ -107,7 +102,8 @@ class ServiceConfig:
     request_timeout: float = 5.0
     #: Grace period for in-flight requests at shutdown.
     drain_timeout: float = 10.0
-    #: Threads executing scans (numpy releases the GIL in the hot loop).
+    #: Scan threads of the in-process inline worker (numpy releases
+    #: the GIL in the hot loop).
     scan_threads: int = 4
     #: Flow-session table bound and eviction policy per generation.
     max_flows: int = 65536
@@ -115,12 +111,6 @@ class ServiceConfig:
     #: Cap on match events returned per SCAN response.
     max_events: int = 1000
     max_frame_bytes: int = MAX_FRAME_BYTES
-    #: Cross-request micro-batching: coalesce up to this many
-    #: concurrently queued count-only SCANs into one fused
-    #: ``run_streams`` call (1 = disabled).
-    batch_max: int = 1
-    #: Seconds a partial batch waits for company before flushing.
-    batch_wait: float = 0.002
     #: Worker processes behind the gateway (0 = serve in-process).
     #: Pool mode compiles dictionaries once in the gateway and attaches
     #: every worker to the same shared-memory tables; flows stay
@@ -138,87 +128,8 @@ class ServiceConfig:
             raise ValueError("scan_threads must be positive")
         if self.workers < 1:
             raise ValueError("workers must be positive")
-        if self.batch_max < 1:
-            raise ValueError("batch_max must be positive")
-        if self.batch_wait < 0:
-            raise ValueError("batch_wait must be non-negative")
         if self.pool_workers < 0:
             raise ValueError("pool_workers must be >= 0")
-
-
-class _ScanBatcher:
-    """Coalesce concurrently queued SCAN payloads into one fused
-    multi-stream scan.
-
-    All state lives on the event loop (no locks): ``submit`` appends the
-    payload and either flushes a full batch immediately or arms a
-    ``batch_wait`` timer on the first member.  A flush takes one
-    registry lease and runs the whole batch as interleaved lanes of a
-    single multi-stream scan on the scan pool —
-    :meth:`ScanContext.batch_totals` routes it through the
-    cache-resident hot/cold union table when the dictionary supports
-    one, else the stacked fused grid; the counts are bit-identical to
-    scanning each payload alone either way.
-    """
-
-    def __init__(self, service: "ScanService") -> None:
-        self._service = service
-        self._max = service.config.batch_max
-        self._wait = service.config.batch_wait
-        self._items: list = []          # (payload, future) pairs
-        self._timer: Optional[asyncio.TimerHandle] = None
-
-    def submit(self, payload: bytes) -> "asyncio.Future":
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        self._items.append((payload, future))
-        if len(self._items) >= self._max:
-            self.flush()
-        elif self._timer is None:
-            self._timer = loop.call_later(self._wait, self.flush)
-        return future
-
-    def flush(self) -> None:
-        """Launch the queued batch now (idempotent when empty)."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        items, self._items = self._items, []
-        if items:
-            asyncio.get_running_loop().create_task(self._run(items))
-
-    @staticmethod
-    def _scan(ctx, payloads):
-        totals = ctx.batch_totals(payloads)
-        return totals, ctx.last_batch_scan_stats
-
-    async def _run(self, items) -> None:
-        service = self._service
-        payloads = [payload for payload, _ in items]
-        loop = asyncio.get_running_loop()
-        try:
-            with service.registry.lease() as gen:
-                t0 = time.perf_counter()
-                totals, scan_stats = await loop.run_in_executor(
-                    service._scan_pool,
-                    partial(self._scan, gen.ctx, payloads))
-                seconds = time.perf_counter() - t0
-                service.metrics.record_batch(len(items))
-                if scan_stats:
-                    service.metrics.record_scanner_stats(gen.gen_id,
-                                                         scan_stats)
-                for (_, future), matches in zip(items, totals):
-                    if not future.done():
-                        future.set_result({
-                            "generation": gen.gen_id,
-                            "matches": int(matches),
-                            "seconds": seconds,
-                            "batch_size": len(items),
-                        })
-        except Exception as exc:
-            for _, future in items:
-                if not future.done():
-                    future.set_exception(exc)
 
 
 class ScanService:
@@ -258,15 +169,16 @@ class ScanService:
         self.host: Optional[str] = None
         self.port: Optional[int] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._scan_pool: Optional[ThreadPoolExecutor] = None
         self._reload_pool: Optional[ThreadPoolExecutor] = None
         self._connections: set = set()
         self._pending = 0
         self._draining = False
-        self._cond: Optional[asyncio.Condition] = None
+        self._slot_event: Optional[asyncio.Event] = None
         self._stopped: Optional[asyncio.Event] = None
-        self._batcher: Optional[_ScanBatcher] = None
         self._pool: Optional[WorkerPool] = None
+        self._inline: Optional[InlineWorker] = None
+        #: Requests one target may hold in flight (see :meth:`_admit`).
+        self._cap = self.config.max_pending
         self._verbs = {
             "PING": self._verb_ping,
             "SCAN": self._verb_scan,
@@ -292,20 +204,19 @@ class ScanService:
     async def start(self) -> None:
         """Bind and start serving; returns once the socket is listening
         (``self.port`` then holds the real port, even for port 0)."""
-        self._cond = asyncio.Condition()
+        self._slot_event = asyncio.Event()
         self._stopped = asyncio.Event()
         if self.config.pool_workers > 0:
             # Fork the fleet before anything else: a forked child must
             # not inherit executor threads or the listening socket.
-            # The batcher stays off — in pool mode concurrent requests
-            # parallelize across worker processes instead.
             self._pool = WorkerPool(self)
             await self._pool.start()
-        elif self.config.batch_max > 1:
-            self._batcher = _ScanBatcher(self)
-        self._scan_pool = ThreadPoolExecutor(
-            max_workers=self.config.scan_threads,
-            thread_name_prefix="repro-scan")
+            self._cap = self._pool.per_worker_cap
+        else:
+            self._inline = InlineWorker(
+                RequestOps(self.registry, self.tenants, self.metrics,
+                           self.config.max_events),
+                self.config.scan_threads)
         self._reload_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-reload")
         self._server = await asyncio.start_server(
@@ -331,26 +242,22 @@ class ScanService:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if self._batcher is not None:
-            self._batcher.flush()   # don't leave admitted scans queued
         try:
-            await asyncio.wait_for(self._wait_drained(),
-                                   timeout=self.config.drain_timeout)
+            await asyncio.wait_for(
+                self._until(lambda: self._pending == 0),
+                timeout=self.config.drain_timeout)
         except asyncio.TimeoutError:
             pass
         for writer in list(self._connections):
             writer.close()
         if self._pool is not None:
             await self._pool.stop()
-        self._scan_pool.shutdown(wait=True)
+        else:
+            self._inline.shutdown()
         self._reload_pool.shutdown(wait=True)
         self.registry.close()
         self.tenants.close()
         self._stopped.set()
-
-    async def _wait_drained(self) -> None:
-        async with self._cond:
-            await self._cond.wait_for(lambda: self._pending == 0)
 
     # -- connection handling -------------------------------------------------------
 
@@ -422,102 +329,53 @@ class ScanService:
         self.metrics.record_request(verb)
         try:
             return await handler(rid, frame)
-        except (BackendError, ProtocolError, RegistryError,
-                CompileError, PolicyError, TenantError,
-                ValueError) as exc:
-            self.metrics.record_error()
-            return self._error(rid, "bad-request", str(exc))
-        except FlowError as exc:
-            self.metrics.record_error()
-            return self._error(rid, "flow-error", str(exc))
-        except WorkerOpError as exc:
-            # A pool worker already classified the failure; echo its
-            # code so clients see the same taxonomy either mode.
-            self.metrics.record_error()
-            return self._error(rid, exc.code, str(exc))
         except WorkerCrashError as exc:
             # Accounted loss, never silent: the rejection counter
-            # carries it and the client gets a retryable error — the
-            # replacement worker (or a ring neighbour) takes the retry.
+            # carries it (once per client request) and the client gets
+            # a retryable error — the replacement worker (or a ring
+            # neighbour) takes the retry.
             self.metrics.record_error()
             self.metrics.record_rejected()
-            return self._error(rid, "worker-crash", str(exc))
+            self._pool.crashed_requests += 1
+            return self._error(rid, exc.code, str(exc))
+        except WorkerOpError as exc:
+            # A pool worker already classified the failure.
+            self.metrics.record_error()
+            return self._error(rid, exc.code, str(exc))
         except Exception as exc:  # keep the daemon up, report the verb
             self.metrics.record_error()
-            return self._error(rid, "internal",
-                               f"{type(exc).__name__}: {exc}")
+            return self._error(rid, *error_reply(exc))
 
     # -- admission control ---------------------------------------------------------
 
-    async def _admit(self, rid) -> Optional[Tuple[Dict, bytes]]:
-        """Take one scan slot; returns an error response when the
-        request cannot be admitted."""
-        if self._draining:
-            return self._error(rid, "draining", "service is shutting "
-                               "down")
-        if self._pending >= self.config.max_pending:
-            if self.config.admission == "reject":
-                self.metrics.record_rejected()
-                return self._error(
-                    rid, "busy",
-                    f"queue full ({self.config.max_pending} in flight); "
-                    f"retry")
-            try:
-                await asyncio.wait_for(
-                    self._wait_for_slot(),
-                    timeout=self.config.request_timeout)
-            except asyncio.TimeoutError:
-                self.metrics.record_timeout()
-                return self._error(
-                    rid, "timeout",
-                    f"no scan slot within "
-                    f"{self.config.request_timeout:.3g}s")
-            if self._draining:
-                return self._error(rid, "draining",
-                                   "service is shutting down")
-        self._pending += 1
-        self.metrics.set_queue_depth(self._pending)
-        return None
-
-    async def _wait_for_slot(self) -> None:
-        async with self._cond:
-            await self._cond.wait_for(
-                lambda: self._pending < self.config.max_pending)
-
-    async def _release_slot(self) -> None:
-        self._pending -= 1
-        self.metrics.set_queue_depth(self._pending)
-        async with self._cond:
-            self._cond.notify_all()
-
-    # -- pool routing ---------------------------------------------------------------
-
-    async def _admit_pool(self, rid, handle
-                          ) -> Optional[Tuple[Dict, bytes]]:
-        """Per-worker admission: pool mode splits ``max_pending``
-        evenly across workers, so backpressure tracks the worker that
-        actually owns the request's hash span instead of one global
-        counter — a hot span rejects while the rest of the fleet keeps
-        absorbing load."""
+    async def _admit(self, rid, target) -> Optional[Tuple[Dict, bytes]]:
+        """Take one slot on ``target``; returns an error response when
+        the request cannot be admitted.  Backpressure tracks the target
+        that will run the request: in pool mode a hot hash span
+        rejects while the rest of the fleet keeps absorbing load."""
         if self._draining:
             return self._error(rid, "draining",
                                "service is shutting down")
-        if not self._pool.has_slot(handle):
+        if target.depth >= self._cap:
             if self.config.admission == "reject":
                 self.metrics.record_rejected()
                 return self._error(
                     rid, "busy",
-                    f"worker {handle.index} queue full "
-                    f"({self._pool.per_worker_cap} in flight); retry")
+                    f"worker {target.index} queue full ({self._cap} in "
+                    f"flight); retry")
             try:
+                # Soft cap: waiters waking together may briefly
+                # overshoot it, which only deepens a mailbox.  A
+                # crashed worker's depth drops to 0, so its waiters
+                # wake and fail fast.
                 await asyncio.wait_for(
-                    self._pool.wait_for_slot(handle),
+                    self._until(lambda: target.depth < self._cap),
                     timeout=self.config.request_timeout)
             except asyncio.TimeoutError:
                 self.metrics.record_timeout()
                 return self._error(
                     rid, "timeout",
-                    f"no slot on worker {handle.index} within "
+                    f"no slot on worker {target.index} within "
                     f"{self.config.request_timeout:.3g}s")
             if self._draining:
                 return self._error(rid, "draining",
@@ -526,54 +384,32 @@ class ScanService:
         self.metrics.set_queue_depth(self._pending)
         return None
 
-    async def _pool_call(self, handle, kind: str, meta: Dict,
-                         payload=b"") -> Dict:
-        # The pipe transport pickles; a zero-copy memoryview payload
-        # materializes exactly once, here at the process boundary.
-        data = bytes(payload) if payload else b""
-        return await handle.call(kind, meta, data)
+    def slot_freed(self) -> None:
+        """A request slot freed (event loop only): wake every waiter
+        of :meth:`_until`.  Pool workers call it when their depth
+        drops."""
+        self._slot_event.set()
+        self._slot_event = asyncio.Event()
 
-    async def _scan_pooled(self, rid, frame: Frame,
-                           tenant: Optional[Tenant], backend,
-                           with_events: bool,
-                           workers: int) -> Tuple[Dict, bytes]:
-        """Stateless SCAN stripes to the idlest live worker."""
-        handle = self._pool.least_loaded()
-        admission = await self._admit_pool(rid, handle)
+    async def _until(self, ready) -> None:
+        """Wait until ``ready()`` holds, re-testing it after every
+        freed slot."""
+        while not ready():
+            await self._slot_event.wait()
+
+    async def _run_op(self, rid, target, kind: str, meta: Dict,
+                      payload=b"") -> Tuple[Dict, bytes]:
+        """Admit one request on ``target`` and run its op there."""
+        admission = await self._admit(rid, target)
         if admission is not None:
             return admission
         try:
-            meta: Dict[str, object] = {"backend": backend,
-                                       "workers": workers,
-                                       "events": with_events}
-            if tenant is not None:
-                meta["tenant"] = tenant.name
-            result = await self._pool_call(handle, "scan", meta,
-                                           frame.payload)
-            return dict(result, id=rid, ok=True), b""
+            result = await target.call(kind, meta, payload)
         finally:
-            await self._release_slot()
-
-    async def _flow_pooled(self, rid, frame: Frame,
-                           tenant: Optional[Tenant],
-                           flow_id) -> Tuple[Dict, bytes]:
-        """FLOW pins to the consistent-hash owner of
-        ``(tenant, flow_id)`` so the session's DFA state never leaves
-        its worker."""
-        handle = self._pool.place(
-            tenant.name if tenant is not None else "", flow_id)
-        admission = await self._admit_pool(rid, handle)
-        if admission is not None:
-            return admission
-        try:
-            meta: Dict[str, object] = {"flow": flow_id}
-            if tenant is not None:
-                meta["tenant"] = tenant.name
-            result = await self._pool_call(handle, "flow", meta,
-                                           frame.payload)
-            return dict(result, id=rid, ok=True), b""
-        finally:
-            await self._release_slot()
+            self._pending -= 1
+            self.metrics.set_queue_depth(self._pending)
+            self.slot_freed()
+        return dict(result, id=rid, ok=True), b""
 
     # -- verbs ---------------------------------------------------------------------
 
@@ -582,189 +418,54 @@ class ScanService:
                  "generation": self.registry.generation}, b"")
 
     async def _verb_scan(self, rid, frame: Frame) -> Tuple[Dict, bytes]:
-        tenant = self._tenant_of(frame)
-        backend = frame.header.get("backend") or self.config.backend
-        with_events = bool(frame.header.get("events"))
-        workers = int(frame.header.get("workers")
-                      or self.config.workers)
-        if self._pool is not None:
-            return await self._scan_pooled(rid, frame, tenant, backend,
-                                           with_events, workers)
-        if (tenant is None and self._batcher is not None
-                and not with_events and workers == 1
-                and backend in (None, "auto", "fused")):
-            return await self._scan_batched(rid, frame)
-        admission = await self._admit(rid)
-        if admission is not None:
-            return admission
-        try:
-            request = ScanRequest(data=frame.payload, workers=workers,
-                                  with_events=with_events)
-            loop = asyncio.get_running_loop()
-            registry = tenant.registry if tenant is not None \
-                else self.registry
-            with registry.lease() as gen:
-                outcome = await loop.run_in_executor(
-                    self._scan_pool,
-                    partial(execute, gen.ctx, request, backend))
-                self.metrics.record_scan(
-                    outcome.backend, outcome.seconds,
-                    outcome.bytes_scanned, outcome.total_matches)
-                header: Dict[str, object] = {
-                    "id": rid, "ok": True,
-                    "generation": gen.gen_id,
-                    "matches": outcome.total_matches,
-                    "bytes": outcome.bytes_scanned,
-                    "backend": outcome.backend,
-                    "workers": outcome.workers,
-                    "seconds": outcome.seconds,
-                }
-                if tenant is not None:
-                    self.metrics.record_tenant_request(
-                        tenant.name, outcome.bytes_scanned,
-                        outcome.total_matches)
-                    header["tenant"] = tenant.name
-                if with_events and outcome.events is not None:
-                    cap = self.config.max_events
-                    header["events"] = [[e.end, e.pattern]
-                                        for e in outcome.events[:cap]]
-                    if len(outcome.events) > cap:
-                        header["events_truncated"] = \
-                            len(outcome.events) - cap
-                return header, b""
-        finally:
-            await self._release_slot()
-
-    async def _scan_batched(self, rid,
-                            frame: Frame) -> Tuple[Dict, bytes]:
-        """Count-only SCAN via the cross-request batcher: the request
-        holds its admission slot while queued, so concurrent clients
-        inside the wait window ride the same fused pass."""
-        admission = await self._admit(rid)
-        if admission is not None:
-            return admission
-        try:
-            result = await self._batcher.submit(frame.payload)
-            self.metrics.record_scan(
-                "batch", result["seconds"], len(frame.payload),
-                result["matches"])
-            return ({"id": rid, "ok": True,
-                     "generation": result["generation"],
-                     "matches": result["matches"],
-                     "bytes": len(frame.payload),
-                     "backend": "batch",
-                     "workers": 1,
-                     "seconds": result["seconds"],
-                     "batch_size": result["batch_size"]}, b"")
-        finally:
-            await self._release_slot()
+        """Stateless SCAN: in pool mode it stripes to the idlest
+        worker."""
+        header = frame.header
+        meta = {"tenant": header.get("tenant"),
+                "backend": header.get("backend") or self.config.backend,
+                "workers": int(header.get("workers")
+                               or self.config.workers),
+                "events": bool(header.get("events"))}
+        target = self._inline if self._pool is None \
+            else self._pool.least_loaded()
+        return await self._run_op(rid, target, "scan", meta,
+                                  frame.payload)
 
     async def _verb_flow(self, rid, frame: Frame) -> Tuple[Dict, bytes]:
-        flow_id = frame.header.get("flow")
-        if flow_id is None:
-            return self._error(rid, "bad-request",
-                               "FLOW needs a 'flow' id")
-        tenant = self._tenant_of(frame)
-        if self._pool is not None:
-            return await self._flow_pooled(rid, frame, tenant, flow_id)
-        admission = await self._admit(rid)
-        if admission is not None:
-            return admission
-        try:
-            loop = asyncio.get_running_loop()
-            if tenant is not None:
-                return await self._flow_tenant(rid, tenant, flow_id,
-                                               frame.payload, loop)
-            with self.registry.lease() as gen:
-                t0 = time.perf_counter()
-                new, total, evicted = await loop.run_in_executor(
-                    self._scan_pool, gen.sessions.scan_packet,
-                    flow_id, frame.payload)
-                seconds = time.perf_counter() - t0
-                self.metrics.record_scan("flow", seconds,
-                                         len(frame.payload), new)
-                self.metrics.record_flow_evictions(evicted)
-                return ({"id": rid, "ok": True,
-                         "generation": gen.gen_id,
-                         "flow": flow_id,
-                         "matches": new,
-                         "flow_total": total,
-                         "bytes": len(frame.payload),
-                         "seconds": seconds}, b"")
-        finally:
-            await self._release_slot()
-
-    async def _flow_tenant(self, rid, tenant: Tenant, flow_id,
-                           payload: bytes, loop) -> Tuple[Dict, bytes]:
-        """Tenant-scoped FLOW: session scan + verdict on the tenant's
-        dictionary and policy (the admission slot is already held)."""
-        t0 = time.perf_counter()
-        verdict, gen_id, evicted = await loop.run_in_executor(
-            self._scan_pool, tenant.scan_packet, flow_id, payload)
-        seconds = time.perf_counter() - t0
-        self.metrics.record_scan("flow", seconds, len(payload),
-                                 verdict.new_matches)
-        self.metrics.record_tenant_request(tenant.name, len(payload),
-                                           verdict.new_matches)
-        self.metrics.record_verdict(tenant.name, verdict.action,
-                                    verdict.seconds)
-        self.metrics.record_flow_evictions(evicted)
-        header: Dict[str, object] = {
-            "id": rid, "ok": True,
-            "generation": gen_id,
-            "tenant": tenant.name,
-            "flow": flow_id,
-            "matches": verdict.new_matches,
-            "flow_total": verdict.flow_total,
-            "bytes": len(payload),
-            "seconds": seconds,
-            "action": verdict.action,
-        }
-        if verdict.rule is not None:
-            header["rule"] = verdict.rule
-        if verdict.triggered:
-            header["triggered"] = list(verdict.triggered)
-        return header, b""
+        return await self._flow_op(rid, frame, "flow")
 
     async def _verb_close_flow(self, rid,
                                frame: Frame) -> Tuple[Dict, bytes]:
+        return await self._flow_op(rid, frame, "close_flow")
+
+    async def _flow_op(self, rid, frame: Frame,
+                       kind: str) -> Tuple[Dict, bytes]:
+        """FLOW / CLOSE_FLOW: in pool mode they pin to the
+        consistent-hash owner of ``(tenant, flow_id)`` so the session's
+        DFA state never leaves its worker."""
         flow_id = frame.header.get("flow")
         if flow_id is None:
             return self._error(rid, "bad-request",
-                               "CLOSE_FLOW needs a 'flow' id")
-        tenant = self._tenant_of(frame)
-        if self._pool is not None:
-            handle = self._pool.place(
-                tenant.name if tenant is not None else "", flow_id)
-            meta: Dict[str, object] = {"flow": flow_id}
-            if tenant is not None:
-                meta["tenant"] = tenant.name
-            result = await self._pool_call(handle, "close_flow", meta)
-            return dict(result, id=rid, ok=True), b""
-        if tenant is not None:
-            nbytes, matches, action = tenant.close_flow(flow_id)
-            header = {"id": rid, "ok": True,
-                      "generation": tenant.registry.generation,
-                      "tenant": tenant.name,
-                      "flow": flow_id,
-                      "bytes_seen": nbytes,
-                      "matches": matches}
-            if action is not None:
-                header["action"] = action
-            return header, b""
-        with self.registry.lease() as gen:
-            nbytes, matches = gen.sessions.close_flow(flow_id)
-            return ({"id": rid, "ok": True,
-                     "generation": gen.gen_id,
-                     "flow": flow_id,
-                     "bytes_seen": nbytes,
-                     "matches": matches}, b"")
+                               f"{frame.verb} needs a 'flow' id")
+        tenant = frame.header.get("tenant")
+        target = self._inline if self._pool is None \
+            else self._pool.place(str(tenant or ""), flow_id)
+        return await self._run_op(rid, target, kind,
+                                  {"tenant": tenant, "flow": flow_id},
+                                  frame.payload)
+
+    def _on_reload_thread(self, fn, *args) -> "asyncio.Future":
+        """Run a swap-side call on the single reload thread.  Compiles,
+        policy swaps and tenant drops wait on registry and tenant swap
+        locks; holding them here serializes the swaps and keeps the
+        event loop answering while a large compile runs."""
+        return asyncio.get_running_loop().run_in_executor(
+            self._reload_pool, fn, *args)
 
     async def _verb_reload(self, rid, frame: Frame) -> Tuple[Dict, bytes]:
         patterns = decode_patterns(frame.payload)
         regex = bool(frame.header.get("regex"))
         tenant = self._tenant_of(frame)
-        loop = asyncio.get_running_loop()
         pooled = self._pool is not None
 
         def _compile():
@@ -782,8 +483,7 @@ class ScanService:
             bundle = bundle_from_compiled(active) if pooled else None
             return result, bundle
 
-        result, bundle = await loop.run_in_executor(self._reload_pool,
-                                                    _compile)
+        result, bundle = await self._on_reload_thread(_compile)
         flows_carried = result.flows_carried
         if pooled:
             # Fan the swap out: every worker attaches + promotes
@@ -823,7 +523,6 @@ class ScanService:
                 rules = RuleSet.from_specs(
                     frame.header["rules"],
                     mode=str(frame.header.get("mode", "first-match")))
-            loop = asyncio.get_running_loop()
             pooled = self._pool is not None
 
             def _create():
@@ -834,8 +533,7 @@ class ScanService:
                     tenant.registry.active.compiled) if pooled else None
                 return tenant, bundle
 
-            tenant, bundle = await loop.run_in_executor(
-                self._reload_pool, _create)
+            tenant, bundle = await self._on_reload_thread(_create)
             if pooled:
                 await self._pool.tenant_create(
                     name, bundle, tenant.registry.generation,
@@ -846,7 +544,7 @@ class ScanService:
                      "rules": len(tenant.ruleset.rules),
                      "patterns": len(patterns)}, b"")
         if op == "delete":
-            self.tenants.drop(name)
+            await self._on_reload_thread(self.tenants.drop, name)
             self.metrics.forget_tenant(name)
             if self._pool is not None:
                 await self._pool.tenant_delete(name)
@@ -876,7 +574,8 @@ class ScanService:
             rules = RuleSet.from_specs(
                 frame.header.get("rules", []),
                 mode=str(frame.header.get("mode", "first-match")))
-            generation = tenant.set_rules(rules)
+            generation = await self._on_reload_thread(tenant.set_rules,
+                                                      rules)
             if self._pool is not None:
                 # The gateway validated the swap; replicate the
                 # canonical specs so every worker's verdict engine
@@ -905,8 +604,6 @@ class ScanService:
                 "admission": self.config.admission,
                 "max_flows": self.config.max_flows,
                 "session_policy": self.config.session_policy,
-                "batch_max": self.config.batch_max,
-                "batch_wait": self.config.batch_wait,
                 "pool_workers": self.config.pool_workers,
             }}
         if self._pool is not None:

@@ -149,10 +149,6 @@ class ServiceMetrics:
         self.flow_evictions = 0
         self.queue_depth = 0
         self.queue_high_water = 0
-        self.batches = 0
-        self.batched_requests = 0
-        self.batch_high_water = 0
-        self._scanners: Dict[int, Dict[str, object]] = {}
         # Per-tenant isolation: every counter below is keyed by tenant
         # name and only ever touched by that tenant's requests, so one
         # tenant's traffic can never leak into another's STATS view.
@@ -193,35 +189,6 @@ class ServiceMetrics:
             if warm:
                 self.warm_reloads += 1
             self._swap.record(seconds)
-
-    def record_batch(self, occupancy: int) -> None:
-        """One coalesced scan batch of ``occupancy`` requests executed
-        (one fused ``run_streams`` call served them all)."""
-        with self._lock:
-            self.batches += 1
-            self.batched_requests += occupancy
-            if occupancy > self.batch_high_water:
-                self.batch_high_water = occupancy
-
-    def record_scanner_stats(self, gen_id: int, stats: Dict) -> None:
-        """Accumulate one batch's hot/cold scanner counters under its
-        dictionary generation.  ``stats`` is
-        :attr:`ScanContext.last_batch_scan_stats`: scanner name plus
-        steps / cold_steps / escapes (hot_hit_rate is recomputed from
-        the aggregated step counts at snapshot time)."""
-        if not stats:
-            return
-        with self._lock:
-            agg = self._scanners.get(gen_id)
-            if agg is None:
-                agg = self._scanners[gen_id] = {
-                    "scanner": stats.get("scanner", "?"),
-                    "batches": 0, "steps": 0, "cold_steps": 0,
-                    "escapes": 0}
-            agg["scanner"] = stats.get("scanner", agg["scanner"])
-            agg["batches"] += 1
-            for key in ("steps", "cold_steps", "escapes"):
-                agg[key] += int(stats.get(key, 0))
 
     def record_flow_evictions(self, count: int) -> None:
         if count:
@@ -270,8 +237,7 @@ class ServiceMetrics:
 
     _COUNTER_FIELDS = ("requests_total", "bytes_scanned", "matches",
                        "errors", "rejected", "timeouts", "reloads",
-                       "warm_reloads", "flow_evictions", "batches",
-                       "batched_requests")
+                       "warm_reloads", "flow_evictions")
 
     def state(self) -> Dict[str, object]:
         """Picklable raw state for cross-process aggregation: every
@@ -287,12 +253,9 @@ class ServiceMetrics:
                              for name in self._COUNTER_FIELDS},
                 "queue_depth": self.queue_depth,
                 "queue_high_water": self.queue_high_water,
-                "batch_high_water": self.batch_high_water,
                 "swap": self._swap.state(),
                 "backends": {name: hist.state()
                              for name, hist in self._backends.items()},
-                "scanners": {gen_id: dict(agg)
-                             for gen_id, agg in self._scanners.items()},
                 "tenants": {
                     name: {
                         "requests": slot["requests"],
@@ -319,26 +282,12 @@ class ServiceMetrics:
             self.queue_high_water = max(
                 self.queue_high_water,
                 int(state.get("queue_high_water", 0)))
-            self.batch_high_water = max(
-                self.batch_high_water,
-                int(state.get("batch_high_water", 0)))
             self._swap.absorb(state.get("swap", {}))
             for name, hist_state in state.get("backends", {}).items():
                 hist = self._backends.get(name)
                 if hist is None:
                     hist = self._backends[name] = LatencyHistogram()
                 hist.absorb(hist_state)
-            for gen_id, stats in state.get("scanners", {}).items():
-                gen_id = int(gen_id)
-                agg = self._scanners.get(gen_id)
-                if agg is None:
-                    agg = self._scanners[gen_id] = {
-                        "scanner": stats.get("scanner", "?"),
-                        "batches": 0, "steps": 0, "cold_steps": 0,
-                        "escapes": 0}
-                agg["scanner"] = stats.get("scanner", agg["scanner"])
-                for key in ("batches", "steps", "cold_steps", "escapes"):
-                    agg[key] += int(stats.get(key, 0))
             for name, incoming in state.get("tenants", {}).items():
                 slot = self._tenant_slot(name)
                 slot["requests"] += int(incoming.get("requests", 0))
@@ -387,13 +336,6 @@ class ServiceMetrics:
                     "swap_latency": self._swap.snapshot(),
                 },
                 "flow_evictions": self.flow_evictions,
-                "batches": {
-                    "count": self.batches,
-                    "requests": self.batched_requests,
-                    "mean_occupancy": (self.batched_requests / self.batches
-                                       if self.batches else 0.0),
-                    "max_occupancy": self.batch_high_water,
-                },
                 "tenants": {
                     name: {
                         "requests": slot["requests"],
@@ -406,11 +348,4 @@ class ServiceMetrics:
                     for name, slot in self._tenants.items()},
                 "backends": {name: hist.snapshot()
                              for name, hist in self._backends.items()},
-                "scanners": {
-                    str(gen_id): dict(
-                        agg,
-                        hot_hit_rate=(
-                            1.0 - agg["cold_steps"] / agg["steps"]
-                            if agg["steps"] else 1.0))
-                    for gen_id, agg in self._scanners.items()},
             }

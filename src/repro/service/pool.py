@@ -19,14 +19,13 @@ Three pieces live here:
   sender thread drains an outbound queue, a receiver thread parks in
   ``recv`` and resolves pending futures on the gateway's event loop;
   an EOF fails every in-flight future with :class:`WorkerCrashError`
-  (accounted by the daemon as rejects — never a silent drop) and
-  triggers an automatic restart.
+  (the daemon counts each failed client request once, as a reject —
+  never a silent drop) and triggers an automatic restart.
 * :class:`WorkerPool` — the fleet: spawn-before-serving (workers fork
   before the gateway creates executors or binds its socket), bundle
   ownership (the gateway's copy of each generation's segment is
   unlinked only after every worker has attached the successor),
-  striping for stateless scans, per-worker admission depths and
-  crash/restart bookkeeping.
+  striping for stateless scans and crash/restart bookkeeping.
 """
 
 from __future__ import annotations
@@ -220,11 +219,14 @@ class WorkerHandle:
         if pending:
             self._on_slot()
         if was_alive and not self.stopping:
-            self._on_down(self, len(pending))
+            self._on_down(self)
 
     def call(self, kind: str, meta: Optional[Dict] = None,
-             payload: bytes = b"") -> "asyncio.Future":
+             payload=b"") -> "asyncio.Future":
         """Issue one op; resolves with the worker's result dict."""
+        # The pipe transport pickles; a zero-copy memoryview payload
+        # materializes exactly once, here at the process boundary.
+        payload = bytes(payload) if payload else b""
         if not self.alive:
             fut = self.loop.create_future()
             fut.set_exception(WorkerCrashError(
@@ -257,9 +259,8 @@ class WorkerPool:
     """The gateway's fleet of scan workers.
 
     Owns the shared-memory bundles (one per scope: ``""`` for the
-    default dictionary, tenant name otherwise), the placement ring and
-    the per-worker admission depths.  Every public coroutine runs on
-    the gateway's event loop.
+    default dictionary, tenant name otherwise) and the placement ring.
+    Every public coroutine runs on the gateway's event loop.
     """
 
     def __init__(self, service) -> None:
@@ -283,10 +284,11 @@ class WorkerPool:
         self.per_worker_cap = max(1, math.ceil(cfg.max_pending
                                                / self.size))
         self.restarts = 0
+        #: Client requests failed by a worker crash (counted by the
+        #: daemon, once per request, alongside its rejection).
         self.crashed_requests = 0
         self._stopping = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._slot_cond: Optional[asyncio.Condition] = None
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -298,7 +300,6 @@ class WorkerPool:
         must never inherit live executor threads or server FDs.
         """
         self._loop = asyncio.get_running_loop()
-        self._slot_cond = asyncio.Condition()
         compiled = self.service.registry.active.compiled
         self._bundles[""] = (self.service.registry.generation,
                              bundle_from_compiled(compiled))
@@ -343,15 +344,14 @@ class WorkerPool:
     def _spawn(self, index: int) -> WorkerHandle:
         return WorkerHandle(index, self._ctx, self._init_for(index),
                             self._loop, self._worker_down,
-                            self._notify_slot)
+                            self.service.slot_freed)
 
-    def _worker_down(self, handle: WorkerHandle, in_flight: int) -> None:
-        """Crash callback (event loop): account the dropped requests
-        and bring a replacement up on the same ring position."""
+    def _worker_down(self, handle: WorkerHandle) -> None:
+        """Crash callback (event loop): bring a replacement up on the
+        same ring position.  The requests it dropped fail their
+        callers with :class:`WorkerCrashError`; the daemon counts
+        them."""
         self.restarts += 1
-        self.crashed_requests += in_flight
-        for _ in range(in_flight):
-            self.service.metrics.record_rejected()
         if not self._stopping:
             self._loop.create_task(self._restart(handle.index))
 
@@ -383,7 +383,7 @@ class WorkerPool:
             bundle.close()
         self._bundles.clear()
 
-    # -- placement & admission ------------------------------------------------------
+    # -- placement ------------------------------------------------------------------
 
     def _alive_mask(self) -> List[bool]:
         return [h.alive for h in self.handles]
@@ -401,26 +401,6 @@ class WorkerPool:
         if not alive:
             raise WorkerCrashError("no alive workers in the pool")
         return min(alive, key=lambda h: h.depth)
-
-    def _notify_slot(self) -> None:
-        if self._slot_cond is not None:
-            self._loop.create_task(self._wake_waiters())
-
-    async def _wake_waiters(self) -> None:
-        async with self._slot_cond:
-            self._slot_cond.notify_all()
-
-    def has_slot(self, handle: WorkerHandle) -> bool:
-        return handle.depth < self.per_worker_cap
-
-    async def wait_for_slot(self, handle: WorkerHandle) -> None:
-        """Block until the worker's depth dips under its cap (used by
-        the ``wait`` admission policy; soft — a burst of waiters waking
-        together may briefly overshoot the cap, which only deepens the
-        worker's mailbox, never loses a request)."""
-        async with self._slot_cond:
-            await self._slot_cond.wait_for(
-                lambda: not handle.alive or self.has_slot(handle))
 
     # -- fleet ops ------------------------------------------------------------------
 

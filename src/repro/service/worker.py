@@ -1,15 +1,19 @@
-"""Worker-process side of the multi-process scan service.
+"""Scan workers: the per-request op table and the two hosts that run it.
 
-This is the paper's SPE: the gateway (PPE) compiles the dictionary
-once, places it in shared memory as a ``SharedArrayBundle``, and each
-worker process *attaches* — it rebuilds a
+:class:`RequestOps` holds SCAN, FLOW and CLOSE_FLOW, each written once.
+In-process mode runs it through one :class:`InlineWorker` on the
+daemon's scan threads; pool mode runs it in forked worker processes.
+
+A pool worker is the paper's SPE: the gateway (PPE) compiles the
+dictionary once, places it in shared memory as a ``SharedArrayBundle``,
+and each worker process *attaches* — it rebuilds a
 :class:`~repro.core.compiled.CompiledDictionary` from the shared views
 with **zero** automaton builds (``COUNTERS["automaton_builds"]`` is
 reset at worker entry and reported over the ready handshake and STATS,
 so the compile-once/map-everywhere contract is provable end to end).
 
-A worker is deliberately single-threaded: it owns a duplex pipe to the
-gateway and serves one message at a time, so a generation swap can
+A pool worker is deliberately single-threaded: it owns a duplex pipe to
+the gateway and serves one message at a time, so a generation swap can
 never race a scan *within* a worker — the cross-worker ordering is the
 gateway's job (workers lease the new bundle before the gateway retires
 the old one).  Flow sessions and verdict state live here, placed by
@@ -25,98 +29,65 @@ handshake.
 
 from __future__ import annotations
 
+import asyncio
 import os
 import signal
 import time
-from typing import Dict, Optional
+from concurrent.futures import ThreadPoolExecutor
+from typing import Dict, Optional, Tuple
 
 from ..core.backends import BackendError, ScanRequest, execute
 from ..core.compiled import COUNTERS, CompileError
 from ..core.flows import FlowError
 from ..core.scan.bundle import SharedArrayBundle, compiled_from_bundle
 from ..policy.rules import PolicyError, RuleSet
-from ..policy.tenants import TenantError, TenantManager
+from ..policy.tenants import Tenant, TenantError, TenantManager
 from .metrics import ServiceMetrics
 from .protocol import ProtocolError
 from .registry import DictionaryRegistry, RegistryError
 
-__all__ = ["worker_main"]
+__all__ = ["InlineWorker", "RequestOps", "error_reply", "worker_main"]
 
 
-def _error_code(exc: BaseException) -> str:
-    """The daemon's error taxonomy, applied worker-side so the gateway
-    can echo the same codes clients already know."""
+def error_reply(exc: BaseException) -> Tuple[str, str]:
+    """The service's error taxonomy: ``(code, message)`` for a failed
+    request.  Applied worker-side in pool mode and by the daemon for
+    its own verbs, so clients see the same codes in either mode."""
     if isinstance(exc, (BackendError, ProtocolError, RegistryError,
                         CompileError, PolicyError, TenantError,
                         ValueError)):
-        return "bad-request"
+        return "bad-request", str(exc)
     if isinstance(exc, FlowError):
-        return "flow-error"
-    return "internal"
+        return "flow-error", str(exc)
+    return "internal", f"{type(exc).__name__}: {exc}"
 
 
-class _PoolWorker:
-    """One worker process's state: attached dictionary generations,
-    flow sessions, tenant replicas and private metrics."""
+class RequestOps:
+    """The per-request op table: SCAN, FLOW and CLOSE_FLOW, each
+    written once.
 
-    def __init__(self, conn, init: Dict) -> None:
-        self.conn = conn
-        self.config = dict(init.get("config", {}))
-        self.max_events = int(self.config.get("max_events", 1000))
-        # Attached segments, keyed by scope ("" = the default
-        # dictionary, else the tenant name).  Exactly one live bundle
-        # per scope; a reload swaps the attachment after the new
-        # generation is promoted.
-        self._bundles: Dict[str, SharedArrayBundle] = {}
-        bundle = SharedArrayBundle.attach(init["bundle_meta"])
-        self._bundles[""] = bundle
-        self.registry = DictionaryRegistry(
-            compiled=compiled_from_bundle(bundle),
-            first_generation=int(init.get("generation", 1)),
-            max_flows=int(self.config.get("max_flows", 65536)),
-            session_policy=self.config.get("session_policy", "lru"))
-        self.tenants = TenantManager(
-            max_flows=int(self.config.get("max_flows", 65536)),
-            session_policy=self.config.get("session_policy", "lru"))
-        for spec in init.get("tenants", []):
-            self._attach_tenant(spec)
-        self.metrics = ServiceMetrics()
-        self._ops = {
-            "ping": self._op_ping,
-            "scan": self._op_scan,
-            "flow": self._op_flow,
-            "close_flow": self._op_close_flow,
-            "reload": self._op_reload,
-            "tenant_create": self._op_tenant_create,
-            "tenant_delete": self._op_tenant_delete,
-            "policy_set": self._op_policy_set,
-            "stats": self._op_stats,
-        }
+    Both scan hosts run it — a pool worker over its attached replicas
+    and private metrics, and the in-process daemon's
+    :class:`InlineWorker` over the gateway's own registry, tenants and
+    metrics — so the two modes build every reply with the same code.
+    Each op takes ``(meta, payload)`` and returns the reply fields
+    (the daemon adds ``id``/``ok``).
+    """
 
-    def _attach_tenant(self, spec: Dict):
-        bundle = SharedArrayBundle.attach(spec["bundle_meta"])
-        rules = None
-        if spec.get("rules"):
-            rules = RuleSet.from_specs(
-                spec["rules"], mode=spec.get("mode", "first-match"))
-        tenant = self.tenants.create(
-            spec["name"], rules=rules,
-            compiled=compiled_from_bundle(bundle),
-            first_generation=int(spec.get("generation", 1)))
-        self._bundles[spec["name"]] = bundle
-        return tenant
+    def __init__(self, registry: DictionaryRegistry,
+                 tenants: TenantManager, metrics: ServiceMetrics,
+                 max_events: int) -> None:
+        self.registry = registry
+        self.tenants = tenants
+        self.metrics = metrics
+        self.max_events = max_events
+        self.table = {"scan": self.scan, "flow": self.flow,
+                      "close_flow": self.close_flow}
 
-    def _tenant(self, name: Optional[str]):
+    def _tenant(self, name) -> Optional[Tenant]:
         return self.tenants.get(str(name)) if name else None
 
-    # -- ops ------------------------------------------------------------------------
-
-    def _op_ping(self, meta: Dict, payload: bytes) -> Dict:
-        return {"generation": self.registry.generation,
-                "automaton_builds": COUNTERS["automaton_builds"],
-                "pid": os.getpid()}
-
-    def _op_scan(self, meta: Dict, payload: bytes) -> Dict:
+    def scan(self, meta: Dict, payload: bytes) -> Dict:
         tenant = self._tenant(meta.get("tenant"))
         with_events = bool(meta.get("events"))
         request = ScanRequest(data=payload,
@@ -150,7 +121,7 @@ class _PoolWorker:
                         len(outcome.events) - cap
             return header
 
-    def _op_flow(self, meta: Dict, payload: bytes) -> Dict:
+    def flow(self, meta: Dict, payload: bytes) -> Dict:
         flow_id = meta["flow"]
         tenant = self._tenant(meta.get("tenant"))
         if tenant is not None:
@@ -194,7 +165,7 @@ class _PoolWorker:
                     "bytes": len(payload),
                     "seconds": seconds}
 
-    def _op_close_flow(self, meta: Dict, payload: bytes) -> Dict:
+    def close_flow(self, meta: Dict, payload: bytes) -> Dict:
         flow_id = meta["flow"]
         tenant = self._tenant(meta.get("tenant"))
         if tenant is not None:
@@ -213,6 +184,98 @@ class _PoolWorker:
                     "flow": flow_id,
                     "bytes_seen": nbytes,
                     "matches": matches}
+
+
+class InlineWorker:
+    """In-process mode's one worker: the :class:`RequestOps` table run
+    on a pool of scan threads (numpy releases the GIL in the hot
+    gather loops).
+
+    It has the ``call(kind, meta, payload)`` / ``depth`` surface of a
+    pool :class:`~repro.service.pool.WorkerHandle`, so the daemon's
+    verbs admit, dispatch and reply the same way in both modes.  The
+    payload stays a zero-copy view: there is no process boundary to
+    cross.
+    """
+
+    index = 0
+
+    def __init__(self, ops: RequestOps, threads: int) -> None:
+        self._table = ops.table
+        self._executor = ThreadPoolExecutor(
+            max_workers=threads, thread_name_prefix="repro-scan")
+        self.depth = 0
+
+    async def call(self, kind: str, meta: Optional[Dict] = None,
+                   payload=b"") -> Dict:
+        op = self._table[kind]
+        self.depth += 1
+        try:
+            return await asyncio.get_running_loop().run_in_executor(
+                self._executor, op, meta or {}, payload)
+        finally:
+            self.depth -= 1
+
+    def shutdown(self) -> None:
+        """Wait for running ops and release the threads."""
+        self._executor.shutdown(wait=True)
+
+
+class _PoolWorker:
+    """One worker process's state: attached dictionary generations,
+    flow sessions, tenant replicas and private metrics."""
+
+    def __init__(self, conn, init: Dict) -> None:
+        self.conn = conn
+        config = dict(init.get("config", {}))
+        # Attached segments, keyed by scope ("" = the default
+        # dictionary, else the tenant name).  Exactly one live bundle
+        # per scope; a reload swaps the attachment after the new
+        # generation is promoted.
+        self._bundles: Dict[str, SharedArrayBundle] = {}
+        bundle = SharedArrayBundle.attach(init["bundle_meta"])
+        self._bundles[""] = bundle
+        self.registry = DictionaryRegistry(
+            compiled=compiled_from_bundle(bundle),
+            first_generation=int(init.get("generation", 1)),
+            max_flows=int(config.get("max_flows", 65536)),
+            session_policy=config.get("session_policy", "lru"))
+        self.tenants = TenantManager(
+            max_flows=int(config.get("max_flows", 65536)),
+            session_policy=config.get("session_policy", "lru"))
+        for spec in init.get("tenants", []):
+            self._attach_tenant(spec)
+        self.metrics = ServiceMetrics()
+        requests = RequestOps(self.registry, self.tenants, self.metrics,
+                              int(config.get("max_events", 1000)))
+        self._ops = dict(
+            requests.table,
+            ping=self._op_ping,
+            reload=self._op_reload,
+            tenant_create=self._op_tenant_create,
+            tenant_delete=self._op_tenant_delete,
+            policy_set=self._op_policy_set,
+            stats=self._op_stats)
+
+    def _attach_tenant(self, spec: Dict):
+        bundle = SharedArrayBundle.attach(spec["bundle_meta"])
+        rules = None
+        if spec.get("rules"):
+            rules = RuleSet.from_specs(
+                spec["rules"], mode=spec.get("mode", "first-match"))
+        tenant = self.tenants.create(
+            spec["name"], rules=rules,
+            compiled=compiled_from_bundle(bundle),
+            first_generation=int(spec.get("generation", 1)))
+        self._bundles[spec["name"]] = bundle
+        return tenant
+
+    # -- control ops ----------------------------------------------------------------
+
+    def _op_ping(self, meta: Dict, payload: bytes) -> Dict:
+        return {"generation": self.registry.generation,
+                "automaton_builds": COUNTERS["automaton_builds"],
+                "pid": os.getpid()}
 
     def _op_reload(self, meta: Dict, payload: bytes) -> Dict:
         """Generation swap: attach the new bundle (lease) *before* the
@@ -303,10 +366,8 @@ class _PoolWorker:
             try:
                 self._send(seq, True, handler(meta or {}, payload))
             except Exception as exc:
-                self._send(seq, False, {
-                    "code": _error_code(exc),
-                    "error": f"{type(exc).__name__}: {exc}"
-                    if _error_code(exc) == "internal" else str(exc)})
+                code, message = error_reply(exc)
+                self._send(seq, False, {"code": code, "error": message})
         self.close()
 
     def close(self) -> None:

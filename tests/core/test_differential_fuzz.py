@@ -174,17 +174,6 @@ class TestPipelineFuzz:
             assert out.stats["prefilter"]["segments"] == 0
             assert out.stats["prefilter"]["fall_through"] is False
 
-    def test_batch_totals_screened_equals_plain(self):
-        compiled = compiled_with_slices(4)
-        rng = random.Random(31)
-        payloads = [_corpus(rng, n)
-                    for n in (0, 7, 977, 4000, 12_000)] + \
-            [b"virus" * 800]
-        with ScanContext(compiled) as ctx:
-            plain = ctx.batch_totals(payloads, prefilter=False)
-            screened = ctx.batch_totals(payloads)
-            assert np.array_equal(plain, screened)
-
 
 class TestPolicyPathDifferential:
     """A rule-free tenant is a pass-through: scan counts AND DFA exit

@@ -87,90 +87,6 @@ class TestVerbs:
                 assert result.matches == 1
 
 
-class TestBatching:
-    """Cross-request micro-batching: concurrent count-only SCANs ride
-    one fused pass, with counts identical to unbatched scans."""
-
-    PATTERNS = ["virus", "worm", "trojan", "backdoor"]
-
-    def _payloads(self):
-        return [(b"x virus y worm " * (i + 1)) + b"backdoor"
-                for i in range(10)] + [b""]
-
-    def test_batched_counts_match_unbatched(self):
-        payloads = self._payloads()
-        with running_service(self.PATTERNS) as handle:
-            with ServiceClient(handle.host, handle.port) as client:
-                expected = [client.scan(p).matches for p in payloads]
-        with running_service(self.PATTERNS, batch_max=4,
-                             batch_wait=0.05) as handle:
-            results = [None] * len(payloads)
-
-            def worker(i):
-                with ServiceClient(handle.host, handle.port) as c:
-                    results[i] = c.scan(payloads[i])
-
-            threads = [threading.Thread(target=worker, args=(i,))
-                       for i in range(len(payloads))]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            with ServiceClient(handle.host, handle.port) as client:
-                stats = client.stats()
-        for i, result in enumerate(results):
-            assert result.backend == "batch"
-            assert result.matches == expected[i], i
-        batches = stats["metrics"]["batches"]
-        assert batches["requests"] == len(payloads)
-        assert batches["count"] < len(payloads)      # coalescing happened
-        assert batches["max_occupancy"] > 1
-        assert stats["config"]["batch_max"] == 4
-
-    def test_events_and_explicit_backend_bypass_the_batcher(self):
-        with running_service(["ab"], batch_max=4,
-                             batch_wait=0.01) as handle:
-            with ServiceClient(handle.host, handle.port) as client:
-                with_events = client.scan("ab ab", events=True)
-                assert with_events.backend != "batch"
-                assert with_events.matches == 2
-                assert len(with_events.events) == 2
-                serial = client.scan("ab", backend="serial")
-                assert serial.backend == "serial"
-                stats = client.stats()
-        # the lone batchable scan still went through the batcher
-        assert stats["metrics"]["batches"]["requests"] == 0
-
-    def test_single_request_flushes_on_wait_window(self):
-        with running_service(["virus"], batch_max=8,
-                             batch_wait=0.005) as handle:
-            with ServiceClient(handle.host, handle.port) as client:
-                t0 = time.perf_counter()
-                result = client.scan("one virus alone")
-                elapsed = time.perf_counter() - t0
-                stats = client.stats()
-        assert result.backend == "batch"
-        assert result.matches == 1
-        assert elapsed < 2.0
-        assert stats["metrics"]["batches"] == {
-            "count": 1, "requests": 1, "mean_occupancy": 1.0,
-            "max_occupancy": 1}
-
-    def test_batching_disabled_by_default(self):
-        with running_service(["virus"]) as handle:
-            with ServiceClient(handle.host, handle.port) as client:
-                assert client.scan("virus").backend != "batch"
-                stats = client.stats()
-        assert stats["metrics"]["batches"]["count"] == 0
-        assert stats["config"]["batch_max"] == 1
-
-    def test_bad_batch_config_rejected(self):
-        with pytest.raises(ValueError, match="batch_max"):
-            ServiceConfig(batch_max=0).validate()
-        with pytest.raises(ValueError, match="batch_wait"):
-            ServiceConfig(batch_max=2, batch_wait=-1.0).validate()
-
-
 class TestErrors:
     def test_unknown_verb(self):
         with running_service(["virus"]) as handle:
@@ -271,53 +187,6 @@ class TestAdmissionControl:
                         return c.scan("virus").matches
 
                 assert self._occupy_then(handle, _second) == 1
-
-
-class TestScannerStats:
-    """Batched scans over a partitioned dictionary surface per-generation
-    hot/cold scanner statistics through STATS and the metrics table."""
-
-    PATTERNS = ["abab", "ABABAB", "BABA", "@[", "`{", "attack", "tac",
-                "backdoor", "virus", "worm", "trojan", "exploit",
-                "malware", "rootkit", "phish", "botnet"]
-
-    def test_stats_verb_reports_per_generation_scanner_stats(self):
-        # Partition the dictionary so the batch path takes the union
-        # scan (single-slice dictionaries stay on the stacked table).
-        compiled = compile_dictionary(self.PATTERNS, max_states=72)
-        assert compiled.num_slices > 1
-        config = ServiceConfig(port=0, batch_max=4, batch_wait=0.05)
-        service = ScanService(self.PATTERNS, config=config, max_states=72)
-        payloads = [b"x virus tac abab " * (i + 1) for i in range(8)]
-        with ServiceThread(service) as handle:
-            results = [None] * len(payloads)
-
-            def worker(i):
-                with ServiceClient(handle.host, handle.port) as c:
-                    results[i] = c.scan(payloads[i])
-
-            threads = [threading.Thread(target=worker, args=(i,))
-                       for i in range(len(payloads))]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            with ServiceClient(handle.host, handle.port) as client:
-                stats = client.stats()
-        assert all(r is not None for r in results)
-        scanners = stats["metrics"]["scanners"]
-        assert scanners                      # at least one generation
-        agg = next(iter(scanners.values()))
-        assert agg["scanner"] in ("hotcold2", "hotcold")
-        assert agg["batches"] >= 1
-        assert agg["steps"] > 0
-        assert 0.0 <= agg["hot_hit_rate"] <= 1.0
-        assert agg["cold_steps"] >= 0 and agg["escapes"] >= 0
-
-        from repro.analysis.report import metrics_table
-        rendered = metrics_table(stats["metrics"])
-        assert "hot/cold scanner stats by generation" in rendered
-        assert agg["scanner"] in rendered
 
 
 class TestShutdown:

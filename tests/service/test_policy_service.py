@@ -2,12 +2,15 @@
 SCAN/FLOW/CLOSE_FLOW/RELOAD, POLICY hot-swap, and per-tenant STATS
 isolation through the daemon."""
 
+import threading
+import time
 from contextlib import contextmanager
 
 import pytest
 
 from repro.service import (ScanService, ServiceClient, ServiceConfig,
                            ServiceError, ServiceThread)
+from repro.service.registry import DictionaryRegistry
 
 DROP_VIRUS = [{"name": "viral", "action": "drop",
                "patterns": ["virus"]}]
@@ -148,6 +151,65 @@ class TestPolicyVerb:
         with running_service() as handle, client_for(handle) as client:
             with pytest.raises(ServiceError):
                 client.request({"verb": "POLICY", "op": "get"})
+
+
+class TestSwapsOffTheEventLoop:
+    """POLICY set and TENANT delete wait on locks a tenant compile holds
+    for its whole duration; they must queue on the reload thread, never
+    stall the event loop that answers everyone else."""
+
+    @pytest.mark.parametrize("verb", ["POLICY", "TENANT"])
+    def test_ping_answers_while_a_swap_waits_on_a_compile(
+            self, verb, monkeypatch):
+        entered, release = threading.Event(), threading.Event()
+        compile_generation = DictionaryRegistry._compile_generation
+
+        def held_compile(registry, *args, **kwargs):
+            entered.set()
+            release.wait(30)
+            return compile_generation(registry, *args, **kwargs)
+
+        with running_service() as handle:
+            with client_for(handle) as admin:
+                admin.tenant_create("acme", ["virus"])
+            monkeypatch.setattr(DictionaryRegistry, "_compile_generation",
+                                held_compile)
+            replies = {}
+
+            def send(name, call):
+                with client_for(handle) as client:
+                    replies[name] = call(client)
+
+            swap = (lambda c: c.set_policy("acme", DROP_VIRUS)) \
+                if verb == "POLICY" else \
+                (lambda c: c.tenant_delete("acme"))
+            threads = [threading.Thread(target=send, args=(
+                "reload", lambda c: c.reload(["virus", "worm"],
+                                             tenant="acme")))]
+            threads[0].start()
+            try:
+                assert entered.wait(10), "the tenant compile never began"
+                def seen():
+                    return handle.service.metrics.snapshot()[
+                        "requests"].get(verb, 0)
+
+                before = seen()
+                threads.append(threading.Thread(target=send,
+                                                args=("swap", swap)))
+                threads[1].start()
+                deadline = time.monotonic() + 10
+                while seen() == before:    # the swap reached the daemon
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                with ServiceClient(handle.host, handle.port,
+                                   timeout=1.0) as probe:
+                    assert probe.ping() == 1
+            finally:
+                release.set()
+                for t in threads:
+                    t.join(30)
+        assert replies["reload"].generation == 2
+        assert "swap" in replies
 
 
 class TestStatsIsolation:

@@ -17,7 +17,7 @@ from repro.service import (ConsistentHashRing, ScanService,
                            ServiceClient, ServiceConfig, ServiceError,
                            ServiceThread, run_load)
 from repro.service.pool import PoolError
-from repro.service.protocol import encode_frame
+from repro.service.protocol import encode_frame, split_body
 
 PATTERNS = ["virus", "worm", "trojan"]
 
@@ -94,27 +94,78 @@ class TestConsistentHashRing:
             ConsistentHashRing(0)
 
 
+#: (request header, payload) pairs sent in order to both modes; the
+#: replies must agree field by field except ``id`` and ``seconds``.
+PARITY_CASES = [
+    ({"verb": "SCAN"}, b"a Virus and a WoRm walked into a bar"),
+    ({"verb": "SCAN"}, b"clean traffic " * 40),
+    # more matches than max_events: the event list truncates
+    ({"verb": "SCAN", "events": True}, b"virus worm " * 4),
+    ({"verb": "SCAN", "backend": "serial"}, b"tro" + b"jan" * 3),
+    ({"verb": "SCAN", "tenant": "acme"}, b"alpha and omega"),
+    ({"verb": "FLOW", "flow": "flow-0"}, b"a vi"),
+    ({"verb": "FLOW", "flow": "flow-1"}, b"worm"),
+    ({"verb": "FLOW", "flow": "flow-0"}, b"rus!"),
+    # a tenant verdict carrying action / rule / triggered
+    ({"verb": "FLOW", "flow": "t1", "tenant": "acme"}, b"an alp"),
+    ({"verb": "FLOW", "flow": "t1", "tenant": "acme"}, b"ha!"),
+    ({"verb": "CLOSE_FLOW", "flow": "t1", "tenant": "acme"}, b""),
+    ({"verb": "CLOSE_FLOW", "flow": "flow-0"}, b""),
+    # error codes
+    ({"verb": "SCAN", "tenant": "ghost"}, b"x"),
+    ({"verb": "FLOW", "tenant": "ghost", "flow": "f"}, b"x"),
+    ({"verb": "FLOW"}, b"no flow id"),
+    ({"verb": "SCAN", "backend": "warp-drive"}, b"x"),
+    ({"verb": "CLOSE_FLOW", "flow": "never-opened"}, b""),
+]
+
+PARITY_TENANTS = {"acme": {
+    "patterns": ["alpha", "omega"],
+    "rules": [{"name": "drop-alpha", "action": "drop",
+               "patterns": ["alpha"]}]}}
+
+
+def raw_replies(handle, cases):
+    """Send each case on one connection; return the raw reply headers
+    (error replies included)."""
+    replies = []
+    with socket.create_connection((handle.host, handle.port)) as s:
+        rf = s.makefile("rb")
+        for i, (header, payload) in enumerate(cases):
+            s.sendall(encode_frame(dict(header, id=i), payload))
+            size = struct.unpack(">I", rf.read(4))[0]
+            replies.append(split_body(rf.read(size)).header)
+    return replies
+
+
 class TestPoolParity:
     def test_scan_and_flow_match_single_process_daemon(self):
-        payloads = [b"a Virus and a WoRm walked into a bar",
-                    b"clean traffic " * 40,
-                    b"tro" + b"jan" * 3]
-        with pooled_service() as pooled, \
-                ServiceThread(ScanService(
-                    PATTERNS, config=ServiceConfig(port=0))) as plain:
-            with ServiceClient(pooled.host, pooled.port) as pc, \
-                    ServiceClient(plain.host, plain.port) as sc:
-                for payload in payloads:
-                    a, b = pc.scan(payload), sc.scan(payload)
-                    assert a.matches == b.matches
-                    assert a.bytes_scanned == b.bytes_scanned
-                for j, payload in enumerate(payloads):
-                    fid = f"flow-{j % 2}"
-                    a = pc.scan_packet(fid, payload)
-                    b = sc.scan_packet(fid, payload)
-                    assert a.matches == b.matches
-                    assert a.flow_total == b.flow_total
-                assert pc.close_flow("flow-0") == sc.close_flow("flow-0")
+        def service(**config):
+            return ServiceThread(ScanService(
+                PATTERNS, tenants=PARITY_TENANTS,
+                config=ServiceConfig(port=0, max_events=3, **config)))
+
+        with service(pool_workers=2) as pooled, service() as plain:
+            got = raw_replies(pooled, PARITY_CASES)
+            want = raw_replies(plain, PARITY_CASES)
+        for (header, _), a, b in zip(PARITY_CASES, got, want):
+            for reply in (a, b):
+                reply.pop("seconds", None)
+            assert a.pop("id") == b.pop("id")
+            assert a == b, header
+        truncated = want[2]
+        assert len(truncated["events"]) == 3
+        assert truncated["events_truncated"] == 5
+        assert want[3]["backend"] == "serial"
+        verdict = want[9]
+        assert (verdict["action"], verdict["rule"],
+                verdict["triggered"]) == ("drop", "drop-alpha",
+                                          ["drop-alpha"])
+        assert want[10]["action"] == "drop"
+        assert want[11]["matches"] == 1
+        assert [r.get("code") for r in want[12:]] == [
+            "bad-request", "bad-request", "bad-request", "bad-request",
+            "flow-error"]
 
     def test_split_pattern_across_packets_stays_sessioned(self):
         with pooled_service() as handle:
@@ -262,8 +313,10 @@ class TestCrashRestart:
         pool = stats["pool"]
         assert pool["restarts"] >= 1
         assert all(w["alive"] for w in pool["workers"]), pool
-        # Dropped requests are accounted, not silently discarded.
-        assert stats["metrics"]["admission"]["rejected"] >= failures
+        # Dropped requests are accounted, not silently discarded, and
+        # each exactly once.
+        assert stats["metrics"]["admission"]["rejected"] == failures
+        assert pool["crashed_requests"] <= failures
         assert attempts == failures + 1
 
     def test_surviving_worker_keeps_serving_during_crash(self):
