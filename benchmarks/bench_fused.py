@@ -33,6 +33,14 @@ Environment knobs:
   through and cost at most one cheap vector pass (default 0.7;
   waived in smoke mode).
 
+The prefilter *win-region* sweep (``test_prefilter_win_region``) runs
+the auto-planned scan, the bare kernel and the forced screen over a
+grid of shortest-pattern length × dictionary size × match density ×
+verify kernel, and records which one the planner chose.  It is the
+sweep the planner's cost constants (``repro.core.planner``) are fitted
+from; ``check_bench_regression.py`` gates every row on auto staying
+within tolerance of the better of bare and screened.
+
 The prefilter sweep also supersedes the retired ``bench_future_bloom``
 as the filter-stage source of truth: the §7 Bloom direction and the
 packed trigram screen are the same filter-then-verify architecture,
@@ -49,6 +57,7 @@ from repro.analysis import ascii_table
 from repro.core.backends import ScanContext, ScanRequest, execute
 from repro.core.compiled import compile_dictionary
 from repro.core.engine import HOTCOLD_LANES_TARGET, count_arr
+from repro.core.scan.prefilter import count_segments
 from repro.dfa.alphabet import identity_fold
 from repro.workloads import plant_matches, random_payload, \
     random_signatures
@@ -379,3 +388,128 @@ def test_prefilter_density_sweep(report, report_json):
             f"fall-through overhead too high: " \
             f"{results['high']['screened_mb_per_s']} MB/s screened vs " \
             f"{results['high']['bare_mb_per_s']} bare"
+
+
+#: Win-region sweep axes.  The shortest pattern sets the screen's
+#: sampling stride (``minlen − 2``); the dictionary size sets the mask's
+#: selectivity; the planted-match density moves the candidate bytes;
+#: the verify kernel sets what the screen must undercut (half a gather
+#: per byte at pair stride, one for the one-byte union scan).
+WIN_MINLENS = (4, 6, 8, 12)
+WIN_COUNTS = (25, 200)
+#: (name, one planted match per this many bytes) over uniform folded
+#: traffic — the block workload's background.
+WIN_DENSITIES = (("sparse", 2000), ("dense", 200))
+WIN_KERNELS = ("hotcold", "hotcold2")
+#: Timed rounds per row (after one warm-up round).
+WIN_ROUNDS = 3 if SMOKE else 5
+
+
+def test_prefilter_win_region(report, report_json):
+    """Auto plan vs bare kernel vs forced screen across the win region
+    of the prefilter cost rule, through the real ``execute`` path."""
+    # Above the planner's serial ceiling (1 MiB) even in smoke mode, so
+    # the auto plan reaches the union kernels and the prefilter rule.
+    nbytes = int(max(BLOCK_MB, 2) * 1e6)
+    fold = identity_fold(32)
+    rows = []
+    results = {}
+    for count in WIN_COUNTS:
+        for minlen in WIN_MINLENS:
+            patterns = random_signatures(count, minlen, minlen + 4,
+                                         seed=300 + minlen)
+            compiled = compile_dictionary(patterns, fold=fold)
+            pf = compiled.prefilter()
+            for density, every in WIN_DENSITIES:
+                block = bytes(plant_matches(
+                    random_payload(nbytes, seed=301),
+                    patterns, nbytes // every, seed=302))
+                with ScanContext(compiled) as ctx:
+                    for kernel in WIN_KERNELS:
+                        def run(prefilter, kernel=kernel, block=block):
+                            return execute(ctx, ScanRequest(
+                                data=block, hot_cold=True,
+                                two_byte=kernel == "hotcold2",
+                                prefilter=prefilter))
+
+                        # Interleaved rounds, best of each: the three
+                        # pipelines see the same host drift, so the
+                        # auto/best ratio measures the plan, not noise.
+                        best_s = {None: float("inf"), False: float("inf"),
+                                  True: float("inf")}
+                        out = {}
+                        for rnd in range(1 + WIN_ROUNDS):
+                            for mode in best_s:
+                                t0 = time.perf_counter()
+                                out[mode] = run(mode)
+                                if rnd:          # round 0 warms up
+                                    best_s[mode] = min(
+                                        best_s[mode],
+                                        time.perf_counter() - t0)
+                        auto, bare, screened = \
+                            out[None], out[False], out[True]
+                        auto_s, bare_s, screened_s = \
+                            best_s[None], best_s[False], best_s[True]
+                        assert auto.backend == kernel, auto.backend
+                        assert auto.total_matches == bare.total_matches \
+                            == screened.total_matches, \
+                            f"win-region counts diverged at {count}/" \
+                            f"{minlen}/{density}/{kernel}"
+                        pstats = screened.stats["prefilter"]
+                        # The screened pipeline's two parts, for fitting
+                        # the planner's cost constants.
+                        arr = np.frombuffer(block, dtype=np.uint8)
+                        kern = ctx.kernel(kernel)
+                        screen_s, res = _best(pf.screen, arr)
+                        verify_s, _ = _best(count_segments, kern, arr,
+                                            res.segments)
+                        mb = {name: nbytes / sec / 1e6 for name, sec in
+                              (("auto", auto_s), ("bare", bare_s),
+                               ("screened", screened_s))}
+                        best = max(mb["bare"], mb["screened"])
+                        key = f"{count}/{minlen}/{density}/{kernel}"
+                        results[key] = {
+                            "patterns": count,
+                            "minlen": minlen,
+                            "density": density,
+                            "kernel": kernel,
+                            "stride": pf.stride,
+                            "selectivity": round(pf.selectivity, 5),
+                            "planned_prefilter": "prefilter" in
+                                                 auto.stats,
+                            "candidate_fraction": round(
+                                pstats["candidate_fraction"], 4),
+                            "segments": pstats["segments"],
+                            "fall_through": pstats["fall_through"],
+                            "auto_mb_per_s": round(mb["auto"], 2),
+                            "bare_mb_per_s": round(mb["bare"], 2),
+                            "screened_mb_per_s": round(mb["screened"], 2),
+                            "auto_vs_best": round(mb["auto"] / best, 3),
+                            "screen_ms": round(screen_s * 1e3, 3),
+                            "verify_ms": round(verify_s * 1e3, 3),
+                        }
+                        rows.append([
+                            count, minlen, pf.stride, density, kernel,
+                            f"{pstats['candidate_fraction']:.3f}",
+                            f"{mb['bare']:.0f}", f"{mb['screened']:.0f}",
+                            f"{mb['auto']:.0f}",
+                            "screen" if "prefilter" in auto.stats
+                            else "bare",
+                            f"{mb['auto'] / best:.2f}"])
+
+    text = ascii_table(
+        ["patterns", "minlen", "stride", "density", "kernel",
+         "cand frac", "bare MB/s", "screened MB/s", "auto MB/s",
+         "auto plan", "auto/best"],
+        rows,
+        title=f"Prefilter win region, {nbytes / 1e6:.0f} MB blocks of "
+              f"uniform folded traffic, patterns of minlen..minlen+4 "
+              f"bytes")
+    report("prefilter_win_region", text)
+    report_json("fused", {"win_region": {
+        "block_bytes": nbytes,
+        "host_cores": os.cpu_count(),
+        "rounds": WIN_ROUNDS,
+        "smoke": SMOKE,
+        "rows": results,
+    }}, merge=True)

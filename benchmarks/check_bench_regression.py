@@ -14,6 +14,11 @@ step) and then calls this script, which fails the build when
   ``--tolerance`` on either its bare or its screened throughput (so a
   slower screen or a slower fall-through cannot hide behind the other
   densities), or
+* any prefilter win-region row's auto-planned throughput falls more
+  than ``--tolerance`` below the better of its bare and its
+  forced-screen throughput *in the same run* (the planner's cost rule
+  must pick the winner wherever the two differ by more than noise), or
+  a baseline win-region row is missing from the fresh run, or
 * the policy layer's verdict overhead (``BENCH_policy.json``, measured
   against a bare session scan over identical traffic) exceeds
   ``--policy-overhead-max`` percent — an absolute ceiling, not a
@@ -173,6 +178,36 @@ def compare_prefilter(baseline, fresh, tolerance=0.30):
             lines.append(
                 f"  {verdict}: {density:<5}{key.split('_mb')[0]:<9}"
                 f"{old:8.1f} -> {new:8.1f} MB/s (floor {floor:.1f})")
+    return ok, lines
+
+
+def compare_win_region(baseline, fresh, tolerance=0.30):
+    """Return (ok, lines) gating the prefilter win-region sweep.
+
+    Every fresh row must have ``auto >= (1 - tolerance) * max(bare,
+    screened)`` — a same-run ratio, so host speed cancels out — and
+    every row of the baseline must be present in the fresh run.
+    """
+    base_rows = baseline.get("rows", {})
+    fresh_rows = fresh.get("rows", {})
+    lines = []
+    ok = True
+    for key in sorted(set(base_rows) - set(fresh_rows)):
+        lines.append(f"  FAIL: win-region row {key} missing from fresh "
+                     f"run")
+        ok = False
+    for key in sorted(fresh_rows):
+        row = fresh_rows[key]
+        auto = float(row.get("auto_mb_per_s") or 0.0)
+        best = max(float(row.get("bare_mb_per_s") or 0.0),
+                   float(row.get("screened_mb_per_s") or 0.0))
+        floor = best * (1.0 - tolerance)
+        good = auto >= floor
+        ok = ok and good
+        plan = "screen" if row.get("planned_prefilter") else "bare"
+        lines.append(f"  {'pass' if good else 'FAIL'}: {key:<24} auto "
+                     f"({plan:<6}) {auto:8.1f} MB/s vs best "
+                     f"{best:8.1f} (floor {floor:.1f})")
     return ok, lines
 
 
@@ -368,6 +403,18 @@ def main(argv=None):
         else:
             print("[bench gate] baseline has no prefilter section — "
                   "per-density gate skipped")
+        if "win_region" in fused_base:
+            win_ok, win_lines = compare_win_region(
+                fused_base["win_region"],
+                fused_fresh.get("win_region", {}),
+                tolerance=args.tolerance)
+            ok = ok and win_ok
+            print("[bench gate: prefilter win region]")
+            for line in win_lines:
+                print(line)
+        else:
+            print("[bench gate] baseline has no win_region section — "
+                  "win-region gate skipped")
     else:
         print(f"[bench gate] no fused baseline at {args.fused_baseline}"
               f" — per-D gate skipped")

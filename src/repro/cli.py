@@ -544,8 +544,9 @@ def _cmd_info(args) -> int:
         print(f"  {name:<10s} {description} — {section}")
     print("staged scan pipeline:")
     print("  prefilter  packed trigram screening skips clean regions "
-          "before any block kernel (screenable exact dictionaries; "
-          "--no-prefilter / ScanRequest(prefilter=False) disables)")
+          "before a block kernel where its cost model beats the kernel "
+          "(screenable exact dictionaries; --no-prefilter / "
+          "ScanRequest(prefilter=False) disables)")
     # protocol.py is stdlib-only by design, so this import is cheap.
     from .service.protocol import RELOAD_STRATEGY, VERB_SPECS
     print("service protocol verbs (repro serve):")

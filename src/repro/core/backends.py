@@ -45,7 +45,8 @@ import numpy as np
 
 from ..dfa.automaton import MatchEvent
 from .compiled import CompiledDictionary
-from .planner import plan_backend
+from .planner import VERIFY_KERNELS as _VERIFY_KERNELS
+from .planner import gathers_per_byte, plan_backend
 
 __all__ = [
     "ScanOutcome",
@@ -571,18 +572,6 @@ class CellSimBackend(ScanBackend):
 
 # -- driver ------------------------------------------------------------------------
 
-#: Exact-verification kernel behind each block backend — what the
-#: prefilter stage counts candidate windows with, so the screened path
-#: runs the same inner loop the bare backend would.
-_VERIFY_KERNELS = {
-    "chunked": "flat",
-    "cellsim": "flat",
-    "fused": "fused",
-    "hotcold": "hotcold",
-    "hotcold2": "hotcold2",
-}
-
-
 def _validate_request(ctx: ScanContext, request: ScanRequest) -> None:
     """Reject contradictory flag combinations with one error naming the
     conflict, before any planning or table building happens."""
@@ -635,8 +624,8 @@ def _plan(ctx: ScanContext, request: ScanRequest,
         return ExecutionPlan(name, "explicitly requested",
                              prefilter=request.prefilter is True)
     nbytes = len(request.data) if request.data is not None else None
-    screenable = (request.kind == "block"
-                  and ctx.compiled.prefilter() is not None)
+    screen = ctx.compiled.screen_shape() if request.kind == "block" \
+        else None
     return plan_backend(nbytes=nbytes,
                         streaming=request.kind != "block",
                         workers=request.workers,
@@ -649,21 +638,23 @@ def _plan(ctx: ScanContext, request: ScanRequest,
                         two_byte=request.two_byte,
                         pair_fit=ctx.compiled.pair_table_fits(),
                         prefilter=request.prefilter,
-                        screenable=screenable)
+                        screen=screen)
 
 
-def _segment_runner(ctx: ScanContext, request: ScanRequest, plan):
+def _segment_runner(ctx: ScanContext, request: ScanRequest, plan,
+                    kname: str):
     """The prefilter stage's verifier: run the disjoint candidate
-    windows through the same kernel family the bare backend would use
-    (or replay the reference event walk per window for the serial
-    backend, shifting event offsets back into block coordinates)."""
+    windows through the kernel ``kname`` — the same kernel family the
+    bare backend would use — or, for the serial backend, replay the
+    reference event walk per window, shifting event offsets back into
+    block coordinates."""
     from .scan.prefilter import count_segments
 
     def run_segments(arr: np.ndarray, segments: np.ndarray,
                      pstats: Dict) -> ScanOutcome:
         stats: Dict[str, object] = {"slices": ctx.compiled.num_slices,
                                     "prefilter": pstats}
-        if plan.backend == "serial":
+        if kname == "serial":
             events: List[MatchEvent] = []
             for lo, hi in segments.tolist():
                 events.extend(
@@ -679,8 +670,6 @@ def _segment_runner(ctx: ScanContext, request: ScanRequest, plan):
                 pattern_counts=dict(
                     Counter(e.pattern for e in events)),
                 stats=stats)
-        kname = _VERIFY_KERNELS.get(plan.backend,
-                                    ctx.batch_kernel_name())
         kern = ctx.kernel(kname)
         kern.reset_stats()
         total = count_segments(kern, arr, segments)
@@ -709,8 +698,14 @@ def build_pipeline(ctx: ScanContext, request: ScanRequest, plan,
         pf = ctx.compiled.prefilter()
         if pf is not None:
             arr = np.frombuffer(request.data, dtype=np.uint8)
+            # The backend's own inner loop; the reference walk for
+            # serial; the batch kernel where no single kernel runs.
+            kname = "serial" if plan.backend == "serial" else \
+                _VERIFY_KERNELS.get(plan.backend, ctx.batch_kernel_name())
             stages.append(PrefilterStage(
-                pf, arr, _segment_runner(ctx, request, plan)))
+                pf, arr, _segment_runner(ctx, request, plan, kname),
+                gathers_per_byte(kname, ctx.compiled.num_slices,
+                                 ctx.compiled.pair_table_fits())))
     stages.append(BackendStage(plan.backend,
                                lambda: chosen.scan(ctx, request)))
     return ScanPipeline(stages)

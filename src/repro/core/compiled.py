@@ -54,6 +54,7 @@ from .engine import (HOT_BUDGET_BYTES, FlatScanner, FusedScanner,
                      build_hot_cold_table, build_weight_table,
                      fuse_tables, pair_symbol_table, project_states,
                      visit_order)
+from .planner import ScreenShape
 from .scan.prefilter import PackedPrefilter
 
 __all__ = [
@@ -218,6 +219,8 @@ class CompiledDictionary:
     _pair_foldpair: Optional[np.ndarray] = field(default=None, repr=False)
     _prefilter: Optional[PackedPrefilter] = field(default=None, repr=False)
     _prefilter_built: bool = field(default=False, repr=False)
+    _screen_shape: Optional[ScreenShape] = field(default=None, repr=False)
+    _screen_shape_built: bool = field(default=False, repr=False)
 
     # -- shape --------------------------------------------------------------------
 
@@ -478,6 +481,22 @@ class CompiledDictionary:
                     self.patterns, self.fold.np_table, self.fold.width)
             self._prefilter_built = True
         return self._prefilter
+
+    def screen_shape(self) -> Optional[ScreenShape]:
+        """The screening stage's shape for the planner's cost rule —
+        stride and longest pattern from the pattern lengths alone, the
+        mask's selectivity on demand — or ``None`` when
+        :meth:`prefilter` would be ``None``.  Cached."""
+        if not self._screen_shape_built:
+            if not self.regex and PackedPrefilter.supports(
+                    self.patterns, self.fold.width):
+                lens = [len(p) for p in self.patterns]
+                self._screen_shape = ScreenShape(
+                    stride=PackedPrefilter.stride_for(min(lens)),
+                    maxlen=max(lens),
+                    selectivity=lambda: self.prefilter().selectivity)
+            self._screen_shape_built = True
+        return self._screen_shape
 
     # -- reference scanning ---------------------------------------------------------
 

@@ -20,8 +20,9 @@ configurations of the figure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..cell.local_store import LS_SIZE, LocalStore
 from .engine import HOT_BUDGET_BYTES
@@ -30,7 +31,11 @@ from .stt import row_stride
 __all__ = ["TilePlan", "plan_tile", "FIGURE3_CASES", "PlanError",
            "CODE_STACK_BYTES", "COUNTER_AREA_BYTES", "STATE_AREA_BYTES",
            "ExecutionPlan", "plan_backend", "SERIAL_BYTE_CEILING",
-           "CACHE_BUDGET_BYTES"]
+           "CACHE_BUDGET_BYTES", "ScreenShape", "VERIFY_KERNELS",
+           "gathers_per_byte", "screen_cost", "verify_cost",
+           "expected_candidates", "SCREEN_GATHERS_PER_SAMPLE",
+           "SCREEN_GATHER_COST", "WINDOW_COST",
+           "PARTIAL_PAIR_GATHERS_PER_BYTE", "SERIAL_GATHERS_PER_BYTE"]
 
 #: Local-store bytes the paper reserves for code and stack.
 CODE_STACK_BYTES = 34 * 1024
@@ -165,6 +170,111 @@ SERIAL_BYTE_CEILING = 1 << 20
 CACHE_BUDGET_BYTES = HOT_BUDGET_BYTES
 
 
+#: The in-process kernel behind each block backend — the loop the bare
+#: scan runs, and the one the prefilter stage verifies windows with.
+VERIFY_KERNELS = {
+    "chunked": "flat",
+    "cellsim": "flat",
+    "fused": "fused",
+    "hotcold": "hotcold",
+    "hotcold2": "hotcold2",
+}
+
+# -- prefilter cost rule -----------------------------------------------------------
+#
+# Every cost below is in *kernel gathers*: the time the bare hotcold
+# kernel spends on one table gather, i.e. on one input byte (9.8–11.3
+# ns on the 2-core host of the fit).  The bare scan of ``n`` bytes
+# costs ``n × gathers_per_byte(kernel)``; the screened scan costs the
+# screen plus the verification of its candidate windows.  The constants
+# are fitted from two runs of the win-region sweep,
+# ``test_prefilter_win_region`` in ``benchmarks/bench_fused.py`` (32
+# rows of 8 MB blocks each; EXPERIMENTS.md, "Prefilter win region").
+
+#: Fold/mask gathers the screen pays per sampled trigram position.
+SCREEN_GATHERS_PER_SAMPLE = 3
+#: One screen gather in kernel gathers.  Fitted on the stride-2 rows,
+#: where the stride check decides the plan (medians 0.45 and 0.46 over
+#: 8 rows); strides 4–10 measured 0.28–0.44, so the screen term is
+#: conservative there.
+SCREEN_GATHER_COST = 0.45
+#: Fixed verification cost per candidate window in kernel gathers —
+#: its share of the lane gather, the ragged-segment dispatch and the
+#: pair re-alignment steps at its edges (medians 48.8 and 48.6 over 32
+#: rows, quartiles 35–60).
+WINDOW_COST = 48.0
+#: The pair-stride kernel below full pair-table coverage (only reached
+#: through the ``two_byte=True`` hatch): escaped lanes replay byte by
+#: byte, which makes it slower than the one-byte ``hotcold`` scan
+#: (medians 1.9 and 2.8 over 10 rows; the lower is kept).
+PARTIAL_PAIR_GATHERS_PER_BYTE = 1.9
+#: The serial reference walk (pure Python, one DFA step per byte per
+#: slice) in kernel gathers per byte per slice — measured at ~500 ns
+#: per byte against ~10 ns for the hotcold kernel.
+SERIAL_GATHERS_PER_BYTE = 50.0
+
+
+def gathers_per_byte(kernel: str, num_slices: int = 1,
+                     pair_fit: bool = True) -> float:
+    """Kernel gathers one byte costs the named verify kernel: half a
+    gather at pair stride (``hotcold2`` with a full-coverage pair
+    table, ``pair_fit``), one for the ``hotcold`` union table, one per
+    slice for ``flat`` and ``fused``, and the measured costs of the
+    partial-coverage pair scan and the ``serial`` reference walk."""
+    if kernel == "hotcold2":
+        return 0.5 if pair_fit else PARTIAL_PAIR_GATHERS_PER_BYTE
+    if kernel == "hotcold":
+        return 1.0
+    if kernel == "serial":
+        return SERIAL_GATHERS_PER_BYTE * num_slices
+    return float(num_slices)
+
+
+def screen_cost(nbytes: int, stride: int) -> float:
+    """Cost of screening ``nbytes``: every ``stride``-th position is
+    sampled at :data:`SCREEN_GATHERS_PER_SAMPLE` gathers."""
+    return (nbytes / max(1, stride) * SCREEN_GATHERS_PER_SAMPLE
+            * SCREEN_GATHER_COST)
+
+
+def verify_cost(candidate_bytes: float, windows: float,
+                kernel_gpb: float) -> float:
+    """Cost of verifying the candidate windows: their bytes at the
+    kernel's per-byte cost plus :data:`WINDOW_COST` per window."""
+    return candidate_bytes * kernel_gpb + windows * WINDOW_COST
+
+
+def expected_candidates(nbytes: int, stride: int, maxlen: int,
+                        selectivity: float) -> Tuple[float, float]:
+    """Plan-time ``(candidate_bytes, windows)`` for ``nbytes`` of
+    traffic uniform over the folded alphabet, where a sampled position
+    hits with probability ``selectivity`` (the mask's admitted share).
+
+    Hits arrive at ``selectivity / stride`` per byte; each grows into a
+    ``2·maxlen − 3``-byte window, and hits closer than ``2·maxlen``
+    merge into one (see :meth:`PackedPrefilter.screen`), so the covered
+    share and the run count follow the Poisson gap law."""
+    rate = selectivity / max(1, stride)
+    covered = -math.expm1(-rate * (2 * maxlen - 3))
+    windows = nbytes * rate * math.exp(-rate * 2 * maxlen)
+    return nbytes * covered, windows
+
+
+@dataclass(frozen=True)
+class ScreenShape:
+    """What the prefilter rule needs to know about a screenable
+    dictionary (see ``CompiledDictionary.screen_shape``)."""
+
+    #: Sampling stride of the trigram screen (``minlen − 2``).
+    stride: int
+    #: Longest pattern, which sizes each candidate window.
+    maxlen: int
+    #: Share of trigrams the mask admits.  A callable because it builds
+    #: the mask: the rule calls it only when the stride alone has not
+    #: already ruled the stage out.
+    selectivity: Callable[[], float]
+
+
 @dataclass(frozen=True)
 class ExecutionPlan:
     """One backend choice plus the reasons that forced it, and whether
@@ -190,7 +300,7 @@ def plan_backend(nbytes: Optional[int] = None, streaming: bool = False,
                  two_byte: Optional[bool] = None,
                  pair_fit: bool = False,
                  prefilter: Optional[bool] = None,
-                 screenable: bool = False,
+                 screen: Optional[ScreenShape] = None,
                  serial_byte_ceiling: int = SERIAL_BYTE_CEILING,
                  cache_budget: int = CACHE_BUDGET_BYTES,
                  ) -> ExecutionPlan:
@@ -232,17 +342,25 @@ def plan_backend(nbytes: Optional[int] = None, streaming: bool = False,
     unless ``hot_cold=False`` explicitly pins the stacked path.
 
     **The prefilter rule** — the one place every backend inherits the
-    packed screening stage from: when the request is an in-memory block
-    whose dictionary is screenable (``screenable=True``, see
-    ``CompiledDictionary.prefilter``) and the input is large enough to
-    amortise the chunk fixpoint anyway (the same ``serial_byte_ceiling``
-    that gates the kernels), the plan carries ``prefilter=True`` and the
-    driver mounts a :class:`~repro.core.scan.pipeline.PrefilterStage`
-    in front of whichever kernel was chosen.  ``prefilter`` is the
-    escape hatch (``repro scan --no-prefilter`` /
-    ``ScanRequest(prefilter=False)``); ``True`` demands the stage.
-    Stream and file requests never screen — candidate windows cannot be
-    carried across staging-ring refills without re-reading the input.
+    packed screening stage from.  The stage is mounted only where it
+    beats the kernel it sits in front of: for an in-memory block whose
+    dictionary is screenable (``screen``, see
+    ``CompiledDictionary.screen_shape``), large enough to amortise the
+    chunk fixpoint (``serial_byte_ceiling``), and planned onto a backend
+    with one in-process kernel (:data:`VERIFY_KERNELS`, or the serial
+    walk), the predicted screen-plus-verify cost must undercut the bare
+    kernel's :func:`gathers_per_byte`.  The stride is checked first — a
+    screen that costs more than the bare kernel even with no candidate
+    bytes is ruled out before the mask is built; only then does the
+    mask's selectivity price the verification
+    (:func:`expected_candidates`).  The plan then carries
+    ``prefilter=True`` and the driver mounts a
+    :class:`~repro.core.scan.pipeline.PrefilterStage` in front of the
+    chosen kernel.  ``prefilter`` is the escape hatch (``repro scan
+    --no-prefilter`` / ``ScanRequest(prefilter=False)``); ``True``
+    demands the stage.  Stream and file requests never screen —
+    candidate windows cannot be carried across staging-ring refills
+    without re-reading the input.
     """
     plan = _choose_backend(
         nbytes=nbytes, streaming=streaming, workers=workers,
@@ -253,14 +371,34 @@ def plan_backend(nbytes: Optional[int] = None, streaming: bool = False,
         cache_budget=cache_budget)
     if plan.backend == "streaming" or prefilter is False:
         return plan
-    want = prefilter is True or (
-        prefilter is None and screenable and nbytes is not None
-        and nbytes > serial_byte_ceiling)
-    if not want:
+    if prefilter is None and not (
+            screen is not None and nbytes is not None
+            and nbytes > serial_byte_ceiling
+            and _screen_pays(plan.backend, nbytes, num_slices, pair_fit,
+                             screen)):
         return plan
     return ExecutionPlan(plan.backend, plan.reason
                          + "; packed prefilter screens clean regions "
                            "first", prefilter=True)
+
+
+def _screen_pays(backend: str, nbytes: int, num_slices: int,
+                 pair_fit: bool, screen: ScreenShape) -> bool:
+    """The cost rule (see :func:`plan_backend`): predicted screen plus
+    verify below the bare kernel, the stride checked before the mask's
+    selectivity is asked for."""
+    kernel = "serial" if backend == "serial" \
+        else VERIFY_KERNELS.get(backend)
+    if kernel is None:
+        return False
+    gpb = gathers_per_byte(kernel, num_slices, pair_fit)
+    bare = nbytes * gpb
+    screened = screen_cost(nbytes, screen.stride)
+    if screened >= bare:
+        return False
+    cand, windows = expected_candidates(
+        nbytes, screen.stride, screen.maxlen, screen.selectivity())
+    return screened + verify_cost(cand, windows, gpb) < bare
 
 
 def _choose_backend(nbytes: Optional[int], streaming: bool, workers: int,

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ...dfa.automaton import DFA, DFAError
 
@@ -104,6 +105,70 @@ def hotcold_strip_elems() -> int:
     :data:`HOTCOLD_STRIP_ELEMS`, overridable via
     ``REPRO_HOTCOLD_STRIP_ELEMS``."""
     return _env_int("REPRO_HOTCOLD_STRIP_ELEMS", HOTCOLD_STRIP_ELEMS)
+
+
+def pack_streams(streams: Sequence[bytes]
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lay byte streams end to end as one block: ``(arr, starts,
+    lens)``, the window form every kernel's ``run_windows`` takes."""
+    if not len(streams):
+        raise DFAError("at least one stream required")
+    lens = np.fromiter((len(s) for s in streams), dtype=np.int64,
+                       count=len(streams))
+    starts = np.zeros_like(lens)
+    np.cumsum(lens[:-1], out=starts[1:])
+    arr = np.frombuffer(b"".join(streams), dtype=np.uint8)
+    return arr, starts, lens
+
+
+def _gather_rows(arr: np.ndarray, starts: np.ndarray,
+                 width: int) -> np.ndarray:
+    """``(len(starts), width)`` rows ``arr[s:s + width]``, zero past the
+    end of ``arr`` — one strided-view gather, no per-row Python."""
+    n = int(arr.size)
+    if width == 0:
+        return np.empty((starts.size, 0), dtype=np.uint8)
+    fits = starts <= n - width
+    if fits.all():
+        return sliding_window_view(arr, width)[starts]
+    out = np.empty((starts.size, width), dtype=np.uint8)
+    if fits.any():
+        out[fits] = sliding_window_view(arr, width)[starts[fits]]
+    late = starts[~fits]
+    lo = int(late.min())
+    tail = np.zeros(n - lo + width, dtype=np.uint8)
+    tail[:n - lo] = arr[lo:]
+    out[~fits] = sliding_window_view(tail, width)[late - lo]
+    return out
+
+
+def window_lanes(arr: np.ndarray, starts: np.ndarray, lens: np.ndarray,
+                 lane_major: bool = False, even: bool = False
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Windows ``arr[starts[k] : starts[k] + lens[k]]`` as one padded
+    lane matrix, longest lane first so the live lanes of every ragged
+    segment form a prefix (see :func:`_ragged_segments`).
+
+    Returns ``(mat, order, sorted_lens)``: lane ``j`` holds window
+    ``order[j]``.  ``mat`` is position-major ``(width, lanes)`` by
+    default, lane-major ``(lanes, width)`` with ``lane_major``;
+    ``even`` rounds the width up to a whole number of byte pairs.
+    Bytes past a lane's own length are padding no scan reads.
+    """
+    order = np.argsort(-lens, kind="stable")
+    sorted_lens = lens[order]
+    width = int(sorted_lens[0]) if sorted_lens.size else 0
+    if even:
+        width += width & 1
+    rows = _gather_rows(arr, np.asarray(starts, dtype=np.int64)[order],
+                        width)
+    if lane_major:
+        return rows, order, sorted_lens
+    # Transpose in lane blocks: each block is flipped while still hot.
+    cols = np.empty((width, rows.shape[0]), dtype=np.uint8)
+    for j in range(0, rows.shape[0], 256):
+        cols[:, j:j + 256] = rows[j:j + 256].T
+    return cols, order, sorted_lens
 
 
 def _ragged_segments(sorted_lens: Sequence[int]):

@@ -14,7 +14,8 @@ import numpy as np
 
 from ...dfa.automaton import DFA, DFAError
 from .base import (FUSED_LANES_TARGET, FUSED_STRIP_ELEMS, LANES_TARGET,
-                   MIN_PIECE, SPECULATION_WARMUP, STRIP, _ragged_segments)
+                   MIN_PIECE, SPECULATION_WARMUP, STRIP, _ragged_segments,
+                   pack_streams, window_lanes)
 from .driver import ScanDetail, _chunked_scan, count_arr, repair_detail
 from .flat import FlatScanner
 
@@ -374,42 +375,39 @@ class FusedScanner:
                     start_states: Optional[np.ndarray] = None,
                     weights: Optional[np.ndarray] = None
                     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Scan independent (possibly ragged) streams, all DFAs at once.
+        """:meth:`run_windows` over byte streams laid end to end."""
+        arr, starts, lens = pack_streams(streams)
+        return self.run_windows(arr, starts, lens, start_states, weights)
+
+    def run_windows(self, arr: np.ndarray, starts: np.ndarray,
+                    lens: np.ndarray,
+                    start_states: Optional[np.ndarray] = None,
+                    weights: Optional[np.ndarray] = None
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Scan independent (possibly ragged) windows of one block, all
+        DFAs at once — window ``k`` is ``arr[starts[k]:][:lens[k]]``.
 
         Returns ``(counts, final_states)``, both shaped
-        ``(num_dfas, num_streams)``.  Streams may have different
-        lengths: lanes are sorted by length and retired as their
-        streams end, so a zero-length stream simply keeps its entry
-        state.  ``start_states`` is per-DFA (shape ``(D,)``) — every
-        stream of DFA ``d`` enters at that DFA's state.  This is the
-        paper's 16-interleaved-streams idea with the DFA dimension
-        fused in — the service batch executor's engine.
+        ``(num_dfas, num_windows)``.  Lanes are sorted by length and
+        retired as their windows end, so a zero-length window simply
+        keeps its entry state.  ``start_states`` is per-DFA (shape
+        ``(D,)``) — every window of DFA ``d`` enters at that DFA's
+        state.  This is the paper's 16-interleaved-streams idea with
+        the DFA dimension fused in.
         """
-        nstreams = len(streams)
-        if not nstreams:
-            raise DFAError("at least one stream required")
-        lens = np.asarray([len(s) for s in streams], dtype=np.int64)
-        order = np.argsort(-lens, kind="stable")
-        sorted_lens = lens[order]
-        maxlen = int(sorted_lens[0])
+        nstreams = len(lens)
         ndfa = self.num_dfas
-
         entry = self.entry_ptrs(start_states)
         ptrs = np.empty((ndfa, nstreams), dtype=np.int32)
         ptrs[:] = entry[:, None]
         counts = np.zeros((ndfa, nstreams), dtype=np.int64)
-        if maxlen:
-            cols = np.zeros((maxlen, nstreams), dtype=np.uint8)
-            for k, oi in enumerate(order):
-                s = streams[oi]
-                if len(s):
-                    cols[:len(s), k] = np.frombuffer(s, dtype=np.uint8)
-            for lo, hi, active in _ragged_segments(sorted_lens):
-                fin = self.scan_grid(cols[lo:hi, :active],
-                                     ptrs[:, :active],
-                                     counts[:, :active],
-                                     weights=weights)
-                ptrs[:, :active] = fin
+        cols, order, sorted_lens = window_lanes(arr, starts, lens)
+        for lo, hi, active in _ragged_segments(sorted_lens):
+            fin = self.scan_grid(cols[lo:hi, :active],
+                                 ptrs[:, :active],
+                                 counts[:, :active],
+                                 weights=weights)
+            ptrs[:, :active] = fin
         out_counts = np.empty_like(counts)
         out_ptrs = np.empty_like(ptrs)
         out_counts[:, order] = counts

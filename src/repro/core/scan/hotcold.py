@@ -17,7 +17,7 @@ from ...dfa.automaton import DFA, DFAError
 from ..compressed import ColdRowStore
 from .base import (HOT_BUDGET_BYTES, MIN_PIECE, SPECULATION_WARMUP, STRIP,
                    _ragged_segments, hotcold_lanes_target,
-                   hotcold_strip_elems)
+                   hotcold_strip_elems, pack_streams, window_lanes)
 from .driver import ScanDetail, _chunked_scan, count_arr, count_arr_detail, \
     repair_detail
 from .flat import FlatScanner
@@ -616,21 +616,26 @@ class HotColdFusedScanner:
                     start_states: Optional[np.ndarray] = None,
                     weights: Optional[np.ndarray] = None
                     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Scan independent ragged streams over the union automaton.
+        """:meth:`run_windows` over byte streams laid end to end."""
+        arr, starts, lens = pack_streams(streams)
+        return self.run_windows(arr, starts, lens, start_states, weights)
+
+    def run_windows(self, arr: np.ndarray, starts: np.ndarray,
+                    lens: np.ndarray,
+                    start_states: Optional[np.ndarray] = None,
+                    weights: Optional[np.ndarray] = None
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Scan independent ragged windows of one raw-byte block over
+        the union automaton — window ``k`` is ``arr[starts[k]:][:lens[k]]``.
 
         Returns ``(counts, final_states)``, both shaped
-        ``(num_streams,)`` — the whole dictionary's totals per stream
+        ``(num_windows,)`` — the whole dictionary's totals per window
         in one pass, where the plain fused scanner returns a
-        ``(D, streams)`` grid it then has to reduce.  States are union
-        states; streams are raw bytes.
+        ``(D, windows)`` grid it then has to reduce.  States are union
+        states; ``start_states`` (one per window) resume earlier scans.
         """
-        nstreams = len(streams)
-        if not nstreams:
-            raise DFAError("at least one stream required")
-        lens = np.asarray([len(s) for s in streams], dtype=np.int64)
-        order = np.argsort(-lens, kind="stable")
-        sorted_lens = lens[order]
-        maxlen = int(sorted_lens[0])
+        nstreams = len(lens)
+        cols, order, sorted_lens = window_lanes(arr, starts, lens)
         if start_states is not None:
             states = np.asarray(start_states, dtype=np.int64)
             if states.size and (states.min() < 0
@@ -641,16 +646,10 @@ class HotColdFusedScanner:
             ptrs = np.full(nstreams, self.pointer(self.start),
                            dtype=np.int32)
         counts = np.zeros(nstreams, dtype=np.int64)
-        if maxlen:
-            cols = np.zeros((maxlen, nstreams), dtype=np.uint8)
-            for k, oi in enumerate(order):
-                s = streams[oi]
-                if len(s):
-                    cols[:len(s), k] = np.frombuffer(s, dtype=np.uint8)
-            for lo, hi, active in _ragged_segments(sorted_lens):
-                fin = self.scan_cols(cols[lo:hi, :active], ptrs[:active],
-                                     counts[:active], weights=weights)
-                ptrs[:active] = fin
+        for lo, hi, active in _ragged_segments(sorted_lens):
+            fin = self.scan_cols(cols[lo:hi, :active], ptrs[:active],
+                                 counts[:active], weights=weights)
+            ptrs[:active] = fin
         out_counts = np.empty_like(counts)
         out_ptrs = np.empty_like(ptrs)
         out_counts[order] = counts

@@ -15,7 +15,7 @@ import numpy as np
 from ...dfa.automaton import DFA, DFAError
 from .base import (HOT_BUDGET_BYTES, MIN_PIECE, SPECULATION_WARMUP,
                    _ragged_segments, hotcold_lanes_target,
-                   hotcold_strip_elems)
+                   hotcold_strip_elems, pack_streams, window_lanes)
 from .driver import _chunked_scan, count_arr
 from .hotcold import HotColdFusedScanner, HotColdFusedTable
 
@@ -682,20 +682,25 @@ class HotCold2Scanner:
                     start_states: Optional[np.ndarray] = None,
                     weights: Optional[np.ndarray] = None
                     ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`HotColdFusedScanner.run_streams` at pair stride.
+        """:meth:`run_windows` over byte streams laid end to end."""
+        arr, starts, lens = pack_streams(streams)
+        return self.run_windows(arr, starts, lens, start_states, weights)
 
-        Ragged segment boundaries and zero/odd-length streams are
+    def run_windows(self, arr: np.ndarray, starts: np.ndarray,
+                    lens: np.ndarray,
+                    start_states: Optional[np.ndarray] = None,
+                    weights: Optional[np.ndarray] = None
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`HotColdFusedScanner.run_windows` at pair stride.
+
+        Ragged segment boundaries and zero/odd-length windows are
         exact: each lockstep segment re-aligns its own pair phase and
         takes single rank steps at unaligned edges, and resumed
-        streams re-enter through canonical rank pointers.
+        windows re-enter through canonical rank pointers.
         """
-        nstreams = len(streams)
-        if not nstreams:
-            raise DFAError("at least one stream required")
-        lens = np.asarray([len(s) for s in streams], dtype=np.int64)
-        order = np.argsort(-lens, kind="stable")
-        sorted_lens = lens[order]
-        maxlen = int(sorted_lens[0])
+        nstreams = len(lens)
+        mat, order, sorted_lens = window_lanes(arr, starts, lens,
+                                               lane_major=True, even=True)
         if start_states is not None:
             states = np.asarray(start_states, dtype=np.int64)
             if states.size and (states.min() < 0
@@ -707,13 +712,7 @@ class HotCold2Scanner:
             ptrs = np.full(nstreams, self.pointer(self.start),
                            dtype=np.int32)
         counts = np.zeros(nstreams, dtype=np.int64)
-        if maxlen:
-            pad = maxlen + (maxlen & 1)
-            mat = np.zeros((nstreams, pad), dtype=np.uint8)
-            for k, oi in enumerate(order):
-                s = streams[oi]
-                if len(s):
-                    mat[k, :len(s)] = np.frombuffer(s, dtype=np.uint8)
+        if mat.shape[1]:
             staged = self.stage_lanes(mat)
             for lo, hi, active in _ragged_segments(sorted_lens):
                 fin = self.scan_lanes(staged, slice(0, active), lo, hi,

@@ -16,12 +16,15 @@ batcher and the differential tests stop branching on scanner types:
 ``count_arr_detail(arr, chunks)``
     Per-slice speculation ledgers (:class:`ScanDetail`) for the
     sharded pool's incremental repair.
+``run_windows(arr, starts, lens)``
+    Ragged multi-window totals over one block, window ``k`` being
+    ``arr[starts[k]:][:lens[k]]``: ``(totals, finals)`` with
+    ``totals`` shaped ``(num_windows,)`` (whole-dictionary, weighted)
+    and ``finals`` shaped ``(num_slices, num_windows)`` in slice-local
+    states.  The windows are gathered into one padded lane matrix and
+    advanced in lockstep — the prefilter verifier's engine.
 ``run_streams(streams)``
-    Ragged multi-stream totals: ``(totals, finals)`` with ``totals``
-    shaped ``(num_streams,)`` (whole-dictionary, weighted) and
-    ``finals`` shaped ``(num_slices, num_streams)`` in slice-local
-    states — the service batcher's and the prefilter verifier's
-    engine.
+    :meth:`run_windows` over byte streams laid end to end.
 ``stats()`` / ``reset_stats()``
     Scanner-side counters (hot-hit rate, escapes, ...); empty for
     kernels without accounting.
@@ -43,7 +46,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type
 import numpy as np
 
 from ...dfa.automaton import DFAError
-from .base import _ragged_segments, hotcold_lanes_target
+from .base import (_ragged_segments, hotcold_lanes_target, pack_streams,
+                   window_lanes)
 from .bundle import SharedArrayBundle, bundle_from_table, \
     scanner_from_bundle
 from .driver import ScanDetail, count_arr, count_arr_detail
@@ -125,9 +129,13 @@ class ScanKernel:
                          = None) -> List[ScanDetail]:
         raise NotImplementedError
 
+    def run_windows(self, arr: np.ndarray, starts: np.ndarray,
+                    lens: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
     def run_streams(self, streams: Sequence[bytes]
                     ) -> Tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
+        return self.run_windows(*pack_streams(streams))
 
     def stats(self) -> Dict:
         return {}
@@ -198,19 +206,9 @@ class FlatKernel(ScanKernel):
                                  weights=self.weights[d])
                 for d, sc in enumerate(self.scanners)]
 
-    def run_streams(self, streams):
-        nstreams = len(streams)
-        if not nstreams:
-            raise DFAError("at least one stream required")
-        lens = np.asarray([len(s) for s in streams], dtype=np.int64)
-        order = np.argsort(-lens, kind="stable")
-        sorted_lens = lens[order]
-        maxlen = int(sorted_lens[0]) if nstreams else 0
-        cols = np.zeros((maxlen, nstreams), dtype=np.uint8)
-        for k, oi in enumerate(order):
-            s = streams[oi]
-            if len(s):
-                cols[:len(s), k] = np.frombuffer(s, dtype=np.uint8)
+    def run_windows(self, arr, starts, lens):
+        nstreams = len(lens)
+        cols, order, sorted_lens = window_lanes(arr, starts, lens)
         totals = np.zeros(nstreams, dtype=np.int64)
         finals = np.empty((self.num_slices, nstreams), dtype=np.int64)
         for d, sc in enumerate(self.scanners):
@@ -299,9 +297,10 @@ class FusedKernel(_ScannerKernel):
         return fs.count_arr_detail_per_dfa(arr, chunks or self.chunks,
                                            weights=fs.weights)
 
-    def run_streams(self, streams):
+    def run_windows(self, arr, starts, lens):
         fs = self.scanner
-        counts, finals = fs.run_streams(streams, weights=fs.weights)
+        counts, finals = fs.run_windows(arr, starts, lens,
+                                        weights=fs.weights)
         return counts.sum(axis=0), np.asarray(finals, dtype=np.int64)
 
 
@@ -351,9 +350,10 @@ class _UnionKernel(_ScannerKernel):
         return [count_arr_detail(sc, arr, chunks or self.chunks,
                                  sc.start, weights=sc.weights)]
 
-    def run_streams(self, streams):
+    def run_windows(self, arr, starts, lens):
         sc = self.scanner
-        counts, finals = sc.run_streams(streams, weights=sc.weights)
+        counts, finals = sc.run_windows(arr, starts, lens,
+                                        weights=sc.weights)
         finals = np.asarray(finals, dtype=np.int64)
         return counts, self._slice_maps[:, finals].astype(np.int64)
 

@@ -10,10 +10,11 @@ which path a request takes instead of re-deriving it from flags.
 Two stage shapes exist today:
 
 * :class:`PrefilterStage` — packed trigram screening
-  (:mod:`.prefilter`).  On a clean or sparse block it verifies the
-  candidate windows itself and short-circuits the pipeline; on a
-  match-dense block it records its screening statistics and declines,
-  letting the kernel stage scan the whole block.
+  (:mod:`.prefilter`).  When verifying the candidate windows costs less
+  than the bare kernel's scan, it verifies them itself and
+  short-circuits the pipeline; otherwise (a match-dense block) it
+  records its screening statistics and declines, letting the kernel
+  stage scan the whole block.
 * :class:`BackendStage` — the terminal stage: one registered backend /
   kernel doing the exact scan.  It never declines.
 
@@ -74,21 +75,24 @@ class PrefilterStage:
     ``run_segments(arr, segments, pstats)`` is supplied by the driver
     and must return the final outcome for the (possibly empty) disjoint
     candidate windows — counting through a kernel, or replaying the
-    reference event walk per window.  On ``fall_through`` the stage
-    records its stats in ``notes`` and declines, so the bare kernel
-    stage scans the whole block.
+    reference event walk per window.  ``kernel_gpb`` is that verifier's
+    cost in gathers per byte, against which the screen prices its
+    windows.  On ``fall_through`` the stage records its stats in
+    ``notes`` and declines, so the bare kernel stage scans the whole
+    block.
     """
 
     name = "prefilter"
 
     def __init__(self, prefilter: PackedPrefilter, arr: np.ndarray,
-                 run_segments: Callable) -> None:
+                 run_segments: Callable, kernel_gpb: float) -> None:
         self.prefilter = prefilter
         self.arr = arr
         self.run_segments = run_segments
+        self.kernel_gpb = kernel_gpb
 
     def run(self, notes: Dict[str, object]):
-        res = self.prefilter.screen(self.arr)
+        res = self.prefilter.screen(self.arr, self.kernel_gpb)
         pstats = {
             "mask_bytes": self.prefilter.mask_bytes,
             "stride": self.prefilter.stride,

@@ -28,21 +28,24 @@ double counting and no misses.  Exactness is differential-tested in
 ``tests/core/test_differential_fuzz.py``.
 
 On adversarial high-match-density input the mask stops rejecting and
-screening would only add overhead — :meth:`PackedPrefilter.screen`
-reports that as ``fall_through`` and the pipeline runs the bare kernel
-instead, so the worst case costs one cheap vector pass, never a slower
-scan.
+verifying the windows would cost more than scanning the whole block:
+:meth:`PackedPrefilter.screen` prices the actual windows with the
+planner's cost model (:func:`~repro.core.planner.verify_cost`), reports
+``fall_through`` when they lose, and the pipeline runs the bare kernel
+instead — so the worst case costs one cheap vector pass, never a
+slower scan.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ...dfa.automaton import DFAError
+from ..planner import verify_cost
 from .base import _env_int
 
 __all__ = ["PackedPrefilter", "ScreenResult", "count_segments",
@@ -53,15 +56,8 @@ __all__ = ["PackedPrefilter", "ScreenResult", "count_segments",
 MASK_CEILING_BYTES = 1 << 20
 #: Trigram screening needs at least 3 bytes of every pattern.
 MIN_PATTERN_LEN = 3
-#: Candidate fraction above which screening is declared useless and the
-#: pipeline falls through to the bare kernel (percent).
-DENSITY_CEILING_PCT = 50
 #: Dense-padding budget for grouped segment verification (bytes).
 GROUP_BUDGET_BYTES = 8 << 20
-
-
-def _density_ceiling() -> float:
-    return _env_int("REPRO_PREFILTER_DENSITY_PCT", DENSITY_CEILING_PCT) / 100.0
 
 
 @dataclass
@@ -75,7 +71,8 @@ class ScreenResult:
     hits: int
     #: Total bytes inside candidate windows.
     candidate_bytes: int
-    #: True when screening rejected too little to be worth it.
+    #: True when verifying the windows would cost more than the bare
+    #: kernel's scan of the whole block.
     fall_through: bool
 
     @property
@@ -113,7 +110,7 @@ class PackedPrefilter:
         #: start positions, so sampling every ``minlen - 2``-th position
         #: still lands at least one probe inside every match (the q-gram
         #: sampling bound).
-        self.stride = max(1, self.minlen - (MIN_PATTERN_LEN - 1))
+        self.stride = self.stride_for(self.minlen)
         # Fold composed with the code shifts, one gather table per
         # trigram byte: code = t0[b0] + t1[b1] + t2[b2].
         fold32 = self.fold_table.astype(np.int32)
@@ -145,6 +142,12 @@ class PackedPrefilter:
         return width ** 3 <= _env_int("REPRO_PREFILTER_MASK_CEILING",
                                       MASK_CEILING_BYTES)
 
+    @staticmethod
+    def stride_for(minlen: int) -> int:
+        """Sampling stride of a dictionary whose shortest pattern has
+        ``minlen`` bytes."""
+        return max(1, int(minlen) - (MIN_PATTERN_LEN - 1))
+
     @classmethod
     def build(cls, patterns: Sequence[bytes],
               fold_table: np.ndarray, width: int
@@ -175,13 +178,17 @@ class PackedPrefilter:
 
     # -- screening ----------------------------------------------------------------
 
-    def screen(self, arr: np.ndarray) -> ScreenResult:
+    def screen(self, arr: np.ndarray,
+               kernel_gpb: float = 1.0) -> ScreenResult:
         """Screen one block; returns disjoint candidate windows.
 
         Exactness contract: every occurrence of a dictionary pattern in
         ``arr`` lies wholly inside exactly one returned segment (unless
         ``fall_through`` is set, in which case the caller must scan the
-        whole block).
+        whole block).  ``kernel_gpb`` is the verifying kernel's cost in
+        gathers per byte (:func:`~repro.core.planner.gathers_per_byte`);
+        the screen falls through when verifying its windows would cost
+        at least as much as that kernel's scan of the whole block.
         """
         n = int(arr.size)
         self.stats["blocks"] += 1
@@ -202,7 +209,10 @@ class PackedPrefilter:
             codes = self._t0.take(np.ascontiguousarray(arr[0:n - 2:step]))
             codes += self._t1.take(np.ascontiguousarray(arr[1:n - 1:step]))
         codes += self._t2.take(s2)
-        pos = np.flatnonzero(self.mask.take(codes)).astype(np.int64) * step
+        # The 0/1 mask viewed as booleans: nonzero over bools is several
+        # times faster than over uint8.
+        hit = self.mask.view(np.bool_).take(codes)
+        pos = np.flatnonzero(hit).astype(np.int64) * step
         positions = int(codes.size)
         if pos.size == 0:
             self.stats["clean_blocks"] += 1
@@ -220,7 +230,8 @@ class PackedPrefilter:
         segments = np.stack([seg_lo, seg_hi], axis=1)
         candidate = int((seg_hi - seg_lo).sum())
         self.stats["bytes_verified"] += candidate
-        fall_through = candidate > n * _density_ceiling()
+        fall_through = (verify_cost(candidate, len(segments), kernel_gpb)
+                        >= n * kernel_gpb)
         if fall_through:
             self.stats["fall_throughs"] += 1
         return ScreenResult(segments, positions, int(pos.size),
@@ -230,33 +241,27 @@ class PackedPrefilter:
 def count_segments(kernel, arr: np.ndarray, segments: np.ndarray) -> int:
     """Exact weighted total over candidate windows, one kernel at work.
 
-    Small windows are batched into ragged ``run_streams`` calls (grouped
-    so the dense ``maxlen × streams`` padding stays under
-    :data:`GROUP_BUDGET_BYTES`); windows too large to batch are scanned
-    with the kernel's chunked block path.  Results are identical to
-    scanning each window from the start state individually.
+    The windows are sorted longest first and cut into groups whose
+    padded lane matrix (lanes × longest window) stays under
+    :data:`GROUP_BUDGET_BYTES`; each group is one
+    ``kernel.run_windows`` call, which gathers its windows with numpy
+    indexing and advances them in lockstep — no per-window Python.  A
+    window longer than the budget is scanned alone with the kernel's
+    chunked block path.  Results are identical to scanning each window
+    from the start state individually.
     """
+    bounds = np.asarray(segments, dtype=np.int64).reshape(-1, 2)
+    lens = bounds[:, 1] - bounds[:, 0]
+    order = np.argsort(-lens, kind="stable")
+    starts, lens = bounds[order, 0], lens[order]
     total = 0
-    group: List[bytes] = []
-    group_max = 0
-    for lo, hi in segments.tolist():
-        seg_len = hi - lo
-        new_max = max(group_max, seg_len)
-        if group and new_max * (len(group) + 1) > GROUP_BUDGET_BYTES:
-            total += _flush(kernel, group)
-            group, group_max = [], 0
-            new_max = seg_len
-        if seg_len > GROUP_BUDGET_BYTES:
-            total += kernel.count_total(arr[lo:hi])
-            group_max = group_max if group else 0
-            continue
-        group.append(arr[lo:hi].tobytes())
-        group_max = new_max
-    if group:
-        total += _flush(kernel, group)
+    k, n = 0, int(lens.size)
+    while k < n and lens[k] > GROUP_BUDGET_BYTES:
+        total += kernel.count_total(arr[starts[k]:starts[k] + lens[k]])
+        k += 1
+    while k < n and lens[k] > 0:
+        end = min(n, k + GROUP_BUDGET_BYTES // int(lens[k]))
+        totals, _ = kernel.run_windows(arr, starts[k:end], lens[k:end])
+        total += int(totals.sum())
+        k = end
     return int(total)
-
-
-def _flush(kernel, group: List[bytes]) -> int:
-    totals, _ = kernel.run_streams(group)
-    return int(totals.sum())

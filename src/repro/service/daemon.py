@@ -645,6 +645,8 @@ class ServiceThread:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._started = None
         self._startup_error: Optional[BaseException] = None
+        #: The loop holds tasks weakly; keep the shutdown task alive.
+        self._shutdown_task: Optional[asyncio.Task] = None
 
     @property
     def host(self) -> str:
@@ -685,16 +687,27 @@ class ServiceThread:
             self._loop.close()
 
     def stop(self) -> None:
-        """Graceful drain from any thread (idempotent)."""
+        """Graceful drain from any thread (idempotent).
+
+        The shutdown coroutine is created on the loop thread, inside a
+        callback, so it is awaited or never made: a daemon that already
+        drained through the SHUTDOWN verb is skipped, and a loop that
+        closes before the callback runs simply drops it.  The caller
+        then waits for the loop thread, which exits once the service
+        has stopped."""
         if self._loop is None or self._thread is None:
             return
-        if self._thread.is_alive() and not self._loop.is_closed():
-            future = asyncio.run_coroutine_threadsafe(
-                self.service.shutdown(), self._loop)
-            try:
-                future.result(timeout=30)
-            except Exception:
-                pass
+        service = self.service
+
+        def begin() -> None:
+            if not service._stopped.is_set():
+                self._shutdown_task = asyncio.ensure_future(
+                    service.shutdown())
+
+        try:
+            self._loop.call_soon_threadsafe(begin)
+        except RuntimeError:
+            pass                      # loop closed: already stopped
         self._thread.join(timeout=30)
 
     def __enter__(self) -> "ServiceThread":

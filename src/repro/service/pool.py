@@ -163,15 +163,20 @@ class WorkerHandle:
                 break
 
     def _recv_loop(self) -> None:
-        while True:
-            try:
-                msg = self._conn.recv()
-            except (EOFError, OSError, ValueError, TypeError):
-                # ValueError/TypeError: the gateway closed the handle
-                # (nulling its fd) between our recv calls during shutdown.
-                break
-            self.loop.call_soon_threadsafe(self._deliver, msg)
-        self.loop.call_soon_threadsafe(self._on_eof)
+        try:
+            while True:
+                try:
+                    msg = self._conn.recv()
+                except (EOFError, OSError, ValueError, TypeError):
+                    # ValueError/TypeError: the gateway closed the
+                    # handle (nulling its fd) between our recv calls
+                    # during shutdown.
+                    break
+                self.loop.call_soon_threadsafe(self._deliver, msg)
+            self.loop.call_soon_threadsafe(self._on_eof)
+        except RuntimeError:
+            # The gateway loop is closed: nobody is left to deliver to.
+            pass
 
     # -- event-loop side ------------------------------------------------------------
 

@@ -1,8 +1,10 @@
 """End-to-end daemon tests: protocol verbs, admission control,
 graceful drain, and hot reloads under concurrent scan load."""
 
+import gc
 import threading
 import time
+import warnings
 from contextlib import contextmanager
 
 import pytest
@@ -202,6 +204,39 @@ class TestShutdown:
         handle = ServiceThread(ScanService(["virus"])).start()
         handle.stop()
         handle.stop()
+
+    def test_stop_after_shutdown_verb_returns_promptly(self):
+        """SHUTDOWN drains the daemon; a later stop() that lands while
+        the loop has stopped but is not yet closed must neither leave a
+        shutdown coroutine un-awaited nor wait out a timeout."""
+        handle = ServiceThread(ScanService(["virus"])).start()
+        loop = handle._loop
+        gap = threading.Event()
+        real_close = loop.close
+
+        def gated_close():
+            gap.wait(5)               # hold the stopped-not-closed gap
+            real_close()
+
+        loop.close = gated_close
+        ServiceClient(handle.host, handle.port).shutdown()
+        deadline = time.monotonic() + 10
+        while (not handle.service._stopped.is_set() or loop.is_running()) \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not loop.is_running()
+        timer = threading.Timer(0.2, gap.set)
+        timer.start()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t0 = time.monotonic()
+            handle.stop()
+            elapsed = time.monotonic() - t0
+            gc.collect()
+        timer.join(5)
+        assert elapsed < 5, f"stop() took {elapsed:.1f}s"
+        assert not handle._thread.is_alive()
+        assert loop.is_closed()
 
 
 class TestConcurrentReloads:

@@ -471,3 +471,35 @@ class TestConfig:
         assert stats["pool"]["per_worker_cap"] >= 1
         payload = json.dumps(stats)      # STATS stays JSON-clean
         assert "pool" in payload
+
+
+class TestRecvLoopAfterLoopClosed:
+    def test_recv_loop_ends_quietly_on_closed_gateway_loop(self):
+        """A pipe message and EOF arriving after the gateway loop closed
+        end the receiver thread without an unhandled exception."""
+        import asyncio
+        import multiprocessing
+
+        from repro.service.pool import WorkerHandle
+
+        loop = asyncio.new_event_loop()
+        loop.close()
+        ours, theirs = multiprocessing.Pipe()
+        handle = WorkerHandle.__new__(WorkerHandle)
+        handle.loop = loop
+        handle._conn = ours
+        theirs.send((0, True, {}))
+        theirs.close()
+        caught = []
+        hook = threading.excepthook
+        threading.excepthook = caught.append
+        try:
+            thread = threading.Thread(target=handle._recv_loop)
+            thread.start()
+            thread.join(5)
+        finally:
+            threading.excepthook = hook
+            ours.close()
+        assert not thread.is_alive()
+        assert caught == []
+
